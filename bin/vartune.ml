@@ -403,7 +403,7 @@ let experiment_cmd =
     let tuning = Option.value tuning ~default:default_method in
     let req =
       Request.Sweep
-        { base; tuning; period; parameters = Run.std_parameters;
+        { base; tuning; period; parameters = [ 0.01; 0.02; 0.05 ];
           mc_samples = Some mc_samples }
     in
     match run_dir with

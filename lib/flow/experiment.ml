@@ -92,11 +92,17 @@ let rec first_load stores key decode =
 
 let save_all stores key encode = List.iter (fun s -> Store.save s key encode) stores
 
-let prepare ?(samples = 50) ?(seed = 42) ?(mcu_config = Mcu.default_config) ?store ?ckpt
-    ?(reuse = true) ?specs () =
+let min_period_key ~statlib_id ~design_fp =
+  Store.Key.(int (str (v "min_period") "statlib" statlib_id) "design" design_fp)
+
+(* Requests without a base (characterise, report, parse) get the
+   paper-scale defaults. *)
+let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
+  let { Request.seed; samples } =
+    Option.value (Request.base_of req) ~default:{ Request.seed = 42; samples = 50 }
+  in
   Obs.span "flow.prepare" ~attrs:(fun () -> [ ("samples", string_of_int samples) ])
   @@ fun () ->
-  let store = if reuse then store else None in
   let char_config = Characterize.default_config in
   let mismatch = Mismatch.default in
   let statlib_key = Statistical.store_key char_config ~mismatch ~seed ~n:samples ?specs () in
@@ -109,9 +115,7 @@ let prepare ?(samples = 50) ?(seed = 42) ?(mcu_config = Mcu.default_config) ?sto
   Option.iter Journal.check_stop ckpt;
   let min_period =
     let measure () = Synthesis.min_period statlib design in
-    let key =
-      Store.Key.(int (str (v "min_period") "statlib" statlib_id) "design" design_fp)
-    in
+    let key = min_period_key ~statlib_id ~design_fp in
     let stores = cache_stores ?store ?ckpt () in
     let p =
       match first_load stores key Codec.r_float with
@@ -140,18 +144,9 @@ let prepare ?(samples = 50) ?(seed = 42) ?(mcu_config = Mcu.default_config) ?sto
     memo = make_memo ?store ?ckpt ~statlib_id ();
   }
 
-let prepare_request ?mcu_config ?store ?ckpt ?reuse ?specs req =
-  let { Request.seed; samples } =
-    Option.value (Request.base_of req) ~default:{ Request.seed = 42; samples = 50 }
-  in
-  prepare ~samples ~seed ?mcu_config ?store ?ckpt ?reuse ?specs ()
-
-let min_period_key setup =
-  Store.Key.(
-    int (str (v "min_period") "statlib" setup.memo.statlib_id) "design" setup.design_fp)
-
 let recipe_ids setup =
-  [ setup.memo.statlib_id; Store.Key.id (min_period_key setup) ]
+  let statlib_id = setup.memo.statlib_id in
+  [ statlib_id; Store.Key.id (min_period_key ~statlib_id ~design_fp:setup.design_fp) ]
 
 let fresh_memo setup =
   { setup with memo = make_memo ~statlib_id:setup.memo.statlib_id () }

@@ -8,7 +8,7 @@
 
     Synthesis runs are memoised behind the opaque {!memo} handle: an
     in-process table absorbs repeat requests within a setup, and — when
-    {!prepare} was given a store — the persistent artifact store serves
+    {!prepare_request} was given a store — the persistent artifact store serves
     warm processes the same runs bit-identically.  Neither layer is
     observable in results: cold, warm and store-less executions produce
     byte-identical reports at any pool size. *)
@@ -44,7 +44,6 @@ val prepare_request :
   ?mcu_config:Vartune_rtl.Microcontroller.config ->
   ?store:Vartune_store.Store.t ->
   ?ckpt:Vartune_journal.Journal.ctx ->
-  ?reuse:bool ->
   ?specs:Vartune_stdcell.Spec.t list ->
   Request.t ->
   setup
@@ -54,9 +53,7 @@ val prepare_request :
     microcontroller and measures the minimum period.  With [store], the
     statistical library, the measured minimum period and every
     subsequent synthesis run are fetched from / saved to the persistent
-    artifact store.  [~reuse:false] (default [true]) ignores [store]
-    entirely — nothing is read or written — for cold-timing
-    comparisons.  [specs] restricts the characterised catalog (default
+    artifact store.  [specs] restricts the characterised catalog (default
     {!Vartune_stdcell.Catalog.specs}); it must still cover every family
     the technology mapper emits.
 
@@ -71,33 +68,6 @@ val recipe_ids : setup -> string list
     statistical library's key and the minimum-period measurement's key
     — carried into {!Response.t.recipes} so a client can audit what a
     served result was keyed by. *)
-
-val prepare :
-  ?samples:int ->
-  ?seed:int ->
-  ?mcu_config:Vartune_rtl.Microcontroller.config ->
-  ?store:Vartune_store.Store.t ->
-  ?ckpt:Vartune_journal.Journal.ctx ->
-  ?reuse:bool ->
-  ?specs:Vartune_stdcell.Spec.t list ->
-  unit ->
-  setup
-[@@ocaml.deprecated "use prepare_request with a Request.t instead"]
-(** Builds the statistical library (default 50 samples, seed 42) across
-    the default pool's domains, elaborates the microcontroller and
-    measures the minimum period.  With [store], the statistical library,
-    the measured minimum period and every subsequent synthesis run are
-    fetched from / saved to the persistent artifact store.
-    [~reuse:false] (default [true]) ignores [store] entirely — nothing
-    is read or written — for cold-timing comparisons.  [specs] restricts
-    the characterised catalog (default {!Vartune_stdcell.Catalog.specs});
-    it must still cover every family the technology mapper emits.
-
-    With [ckpt] (a journaled run), the statistical library builds
-    resumably (see {!Vartune_statlib.Statistical.build}), the run's
-    private state store joins the cache layers of every artifact, each
-    landed artifact is journaled, and a pending stop request raises
-    [Journal.Interrupted] at the next safe point. *)
 
 val fresh_memo : setup -> setup
 (** The same setup with an empty, store-detached memo — runs recompute

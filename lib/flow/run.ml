@@ -20,23 +20,8 @@ let src = Logs.Src.create "vartune.run" ~doc:"journaled run supervision"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type kind =
-  | Statlib
-  | Experiment of {
-      mc_samples : int;
-      period : float option;
-      tuning : Tuning_method.t;
-    }
-
-type params = { seed : int; samples : int; kind : kind; output : string option }
-
 let journal_path run_dir = Filename.concat run_dir "journal.vtj"
 let state_dir run_dir = Filename.concat run_dir "state"
-
-(* The parameter ladder of the experiment pipeline's sweep stage — the
-   only sweep shape the fixed-field journal Run_started record can
-   describe, so only requests using it are journal-able. *)
-let std_parameters = [ 0.01; 0.02; 0.05 ]
 
 let run_line label (run : Experiment.run) =
   let r = run.Experiment.result in
@@ -44,32 +29,6 @@ let run_line label (run : Experiment.run) =
     label r.Synthesis.feasible r.Synthesis.worst_slack r.Synthesis.area
     r.Synthesis.instances
     run.Experiment.design_sigma.Design_sigma.dist.Vartune_stats.Dist.sigma
-
-(* ------------------------------------------------------------------ *)
-(* Request <-> legacy params                                           *)
-(* ------------------------------------------------------------------ *)
-
-let request_of_params params =
-  let base = { Request.seed = params.seed; samples = params.samples } in
-  match params.kind with
-  | Statlib -> Request.Statlib base
-  | Experiment { mc_samples; period; tuning } ->
-    Request.Sweep
-      { base; tuning; period; parameters = std_parameters;
-        mc_samples = Some mc_samples }
-
-(* [None] when the request is not journal-able: the journal's fixed
-   Run_started record can only describe statlib builds and the standard
-   experiment pipeline. *)
-let params_of_request ?output req =
-  match req with
-  | Request.Statlib { Request.seed; samples } ->
-    Some { seed; samples; kind = Statlib; output }
-  | Request.Sweep { base = { Request.seed; samples }; tuning; period; parameters;
-                    mc_samples = Some mc_samples }
-    when parameters = std_parameters ->
-    Some { seed; samples; kind = Experiment { mc_samples; period; tuning }; output }
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Request evaluation                                                  *)
@@ -230,12 +189,6 @@ let eval ?store ?ckpt ?(emit = ignore) req =
       mc_samples;
     done_ ~library:setup.Experiment.statlib ~recipes:(Experiment.recipe_ids setup) ()
 
-(* Legacy entry point, kept as a shim over [eval] for this PR. *)
-let run_pipeline ?store ?ckpt ~emit params =
-  match (eval ?store ?ckpt ~emit (request_of_params params)).library with
-  | Some lib -> lib
-  | None -> assert false (* statlib and sweep requests always carry one *)
-
 (* ------------------------------------------------------------------ *)
 (* Journaled runs                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -258,52 +211,27 @@ let install_signal_handlers ctx =
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-let kind_string = function Statlib -> "statlib" | Experiment _ -> "experiment"
+(* The kinds whose evaluation yields a library for the run directory. *)
+let journal_able = function Request.Statlib _ | Request.Sweep _ -> true | _ -> false
 
-let run_started params =
-  let mc_samples, period, tuning =
-    match params.kind with
-    | Statlib -> (0, None, "")
-    | Experiment { mc_samples; period; tuning } ->
-      (mc_samples, period, Tuning_method.to_string tuning)
-  in
-  Journal.Run_started
-    {
-      seed = params.seed;
-      samples = params.samples;
-      kind = kind_string params.kind;
-      mc_samples;
-      period;
-      tuning;
-      output = params.output;
-    }
-
-let params_of_steps steps =
-  let started =
+(* The run's request, decoded from its run-started line.  Anything that
+   does not decode to a journal-able request is damage: [Corrupt], so
+   resume fails cleanly (exit 65) instead of guessing. *)
+let request_of_steps steps =
+  let corrupt fmt = Printf.ksprintf (fun m -> raise (Journal.Corrupt m)) fmt in
+  match
     List.find_map
-      (function
-        | Journal.Run_started { seed; samples; kind; mc_samples; period; tuning; output }
-          -> Some (seed, samples, kind, mc_samples, period, tuning, output)
-        | _ -> None)
+      (function Journal.Run_started { request; output } -> Some (request, output) | _ -> None)
       steps
-  in
-  match started with
-  | None -> raise (Journal.Corrupt "journal has no run-started record")
-  | Some (seed, samples, kind_name, mc_samples, period, tuning_name, output) ->
-    let kind =
-      match kind_name with
-      | "statlib" -> Statlib
-      | "experiment" -> (
-        match Tuning_method.of_string tuning_name with
-        | Some tuning -> Experiment { mc_samples; period; tuning }
-        | None ->
-          raise
-            (Journal.Corrupt
-               (Printf.sprintf "journal records unknown tuning method %S" tuning_name)))
-      | other ->
-        raise (Journal.Corrupt (Printf.sprintf "journal records unknown run kind %S" other))
-    in
-    { seed; samples; kind; output }
+  with
+  | None -> corrupt "journal has no run-started record"
+  | Some (line, output) -> (
+    match Request.of_line line with
+    | Ok { Request.req; _ } when journal_able req -> (req, output)
+    | Ok { Request.req; _ } ->
+      corrupt "journal records a %S request, which is not journal-able"
+        (Request.kind_string req)
+    | Error e -> corrupt "journal's run-started request: %s" (Request.error_message e))
 
 (* Runs the pipeline under an open journal context, then lands the
    run-directory artifacts and seals the journal.  Output lines go to
@@ -311,7 +239,7 @@ let params_of_steps steps =
    deliberately contains no absolute paths, so reports of an
    interrupted-and-resumed run and an uninterrupted reference diff
    clean. *)
-let supervise ~run_dir ?store ctx params =
+let supervise ~run_dir ?store ?output ctx req =
   let report = Buffer.create 512 in
   let emit line =
     print_string line;
@@ -319,7 +247,7 @@ let supervise ~run_dir ?store ctx params =
     Buffer.add_string report line;
     Buffer.add_char report '\n'
   in
-  match eval ?store ~ckpt:ctx ~emit (request_of_params params) with
+  match eval ?store ~ckpt:ctx ~emit req with
   | { library = Some statlib; _ } ->
     Printer.write_file (Filename.concat run_dir "statlib.lib") statlib;
     emit (Printf.sprintf "wrote statlib.lib (%d cells)" (Library.size statlib));
@@ -327,14 +255,14 @@ let supervise ~run_dir ?store ctx params =
       (fun path ->
         Printer.write_file path statlib;
         emit (Printf.sprintf "wrote %s (%d cells)" path (Library.size statlib)))
-      params.output;
+      output;
     let oc = open_out (Filename.concat run_dir "report.txt") in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> output_string oc (Buffer.contents report));
     Journal.seal ctx.Journal.journal ~reason:"completed";
     Log.info (fun m -> m "run completed; artifacts in %s" run_dir)
-  | { library = None; _ } -> assert false (* journal-able kinds carry a library *)
+  | { library = None; _ } -> assert false (* journal-able kinds yield a library *)
   | exception Journal.Interrupted msg ->
     Journal.seal ctx.Journal.journal ~reason:"interrupted";
     Log.info (fun m -> m "run interrupted; resume with: vartune resume %s" run_dir);
@@ -343,37 +271,33 @@ let supervise ~run_dir ?store ctx params =
     Journal.seal ctx.Journal.journal ~reason:("failed: " ^ Printexc.to_string exn);
     raise exn
 
-let execute ~run_dir ?store params =
+let execute_request ~run_dir ?store ?output req =
+  if not (journal_able req) then
+    invalid_arg
+      (Printf.sprintf
+         "Run.execute_request: %S requests are not journal-able (only statlib and sweep \
+          are)"
+         (Request.kind_string req));
   mkdir_p run_dir;
   let journal = Journal.create (journal_path run_dir) in
   let state = Store.open_dir (state_dir run_dir) in
   let ctx = Journal.make_ctx ~journal ~state () in
   install_signal_handlers ctx;
-  Journal.record ctx (run_started params);
-  supervise ~run_dir ?store ctx params
-
-let execute_request ~run_dir ?store ?output req =
-  match params_of_request ?output req with
-  | Some params -> execute ~run_dir ?store params
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Run.execute_request: %S requests are not journal-able (only statlib and the \
-          standard experiment sweep are)"
-         (Request.kind_string req))
+  Journal.record ctx (Journal.Run_started { request = Request.to_line req; output });
+  supervise ~run_dir ?store ?output ctx req
 
 let resume ~run_dir ?store () =
   let path = journal_path run_dir in
   if not (Sys.file_exists path) then
     raise (Journal.Corrupt (Printf.sprintf "no journal at %s" path));
   let steps = Journal.replay path in
-  let params = params_of_steps steps in
+  let req, output = request_of_steps steps in
   let journal = Journal.open_append path in
   let state = Store.open_dir (state_dir run_dir) in
   let ctx = Journal.make_ctx ~journal ~state ~replayed:steps () in
   install_signal_handlers ctx;
   Journal.record ctx (Journal.Resumed { replayed = List.length steps });
   Log.info (fun m ->
-      m "resuming %s run from %d journaled steps" (kind_string params.kind)
+      m "resuming %s run from %d journaled steps" (Request.kind_string req)
         (List.length steps));
-  supervise ~run_dir ?store ctx params
+  supervise ~run_dir ?store ?output ctx req

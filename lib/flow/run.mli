@@ -16,46 +16,18 @@
     <run>/report.txt    everything the run printed, written on completion
     v}
 
-    [execute_request] starts one, installing SIGINT/SIGTERM handlers
-    that request a cooperative stop: the pipeline finishes the current
-    round, checkpoints its partial state to [state/], journals the
-    checkpoint and raises {!Vartune_journal.Journal.Interrupted}, which
-    the CLI maps to exit 75 (EX_TEMPFAIL).  [resume] replays the
-    journal, reconstructs the run's request from the [Run_started]
-    step, re-validates every journaled artifact against the store by
-    recipe key (a corrupt entry is evicted and recomputed, never
-    trusted) and continues.  The resumed output — stdout, [report.txt],
-    [statlib.lib] — is bit-identical to an uninterrupted run at any
-    [--jobs] and any checkpoint cadence. *)
-
-type kind =
-  | Statlib  (** build the statistical library and stop *)
-  | Experiment of {
-      mc_samples : int;
-      period : float option;  (** [None]: the measured minimum *)
-      tuning : Vartune_tuning.Tuning_method.t;
-    }  (** the full experiment pipeline (the [experiment] subcommand) *)
-
-type params = {
-  seed : int;
-  samples : int;
-  kind : kind;
-  output : string option;  (** [-o]: extra copy of the library *)
-}
-
-val std_parameters : float list
-(** The experiment sweep's constraint-parameter ladder
-    ([0.01; 0.02; 0.05]) — the only sweep shape the fixed-field journal
-    record can describe, hence the only journal-able one. *)
-
-val request_of_params : params -> Request.t
-(** The {!Request.t} a legacy [params] record denotes: [Statlib] maps
-    to {!Request.Statlib}, [Experiment] to a {!Request.Sweep} over
-    {!std_parameters} with its Monte-Carlo stage. *)
-
-val params_of_request : ?output:string -> Request.t -> params option
-(** Inverse of {!request_of_params} on its image; [None] for request
-    kinds (or sweep shapes) the journal cannot record. *)
+    A run is its {!Request.t}: [execute_request] journals the request's
+    canonical line ({!Request.to_line}) as the [Run_started] step and
+    installs SIGINT/SIGTERM handlers that request a cooperative stop:
+    the pipeline finishes the current round, checkpoints its partial
+    state to [state/], journals the checkpoint and raises
+    {!Vartune_journal.Journal.Interrupted}, which the CLI maps to exit
+    75 (EX_TEMPFAIL).  [resume] replays the journal, decodes the request
+    from that line ({!Request.of_line}), re-validates every journaled
+    artifact against the store by recipe key (a corrupt entry is
+    evicted and recomputed, never trusted) and continues.  The resumed
+    output — stdout, [report.txt], [statlib.lib] — is bit-identical to
+    an uninterrupted run at any [--jobs] and any checkpoint cadence. *)
 
 val run_line : string -> Experiment.run -> string
 (** One synthesis-result summary line, shared by [synth], [experiment]
@@ -91,35 +63,19 @@ val execute_request :
   ?output:string ->
   Request.t ->
   unit
-(** Runs a journal-able request journaled under [run_dir] (created if
-    missing); [output] is the [-o] extra library copy.  Raises
-    [Journal.Interrupted] after a graceful, checkpointed stop — the
-    journal is sealed ["interrupted"] and [vartune resume] continues
-    the run — and [Invalid_argument] if {!params_of_request} is [None]
-    for the request. *)
+(** Runs a {!Request.Statlib} or {!Request.Sweep} request — the kinds
+    whose evaluation yields a library — journaled under [run_dir]
+    (created if missing); [output] is the [-o] extra library copy.
+    Raises [Journal.Interrupted] after a graceful, checkpointed stop —
+    the journal is sealed ["interrupted"] and [vartune resume]
+    continues the run — and [Invalid_argument] for any other kind. *)
 
 val resume : run_dir:string -> ?store:Vartune_store.Store.t -> unit -> unit
 (** Resumes an interrupted journaled run.  Raises
     [Journal.Corrupt] if the journal is missing, truncated or fails a
-    checksum — a damaged journal is a clean typed error (exit 65),
-    never a wrong result. *)
+    checksum, or if its run-started request line does not decode to a
+    journal-able request — a damaged journal is a clean typed error
+    (exit 65), never a wrong result. *)
 
 val journal_path : string -> string
 (** [<run>/journal.vtj]. *)
-
-(** {2 Deprecated entry points}
-
-    One-line wrappers over {!eval} / {!execute_request}, kept for this
-    PR only. *)
-
-val run_pipeline :
-  ?store:Vartune_store.Store.t ->
-  ?ckpt:Vartune_journal.Journal.ctx ->
-  emit:(string -> unit) ->
-  params ->
-  Vartune_liberty.Library.t
-[@@ocaml.deprecated "use eval with a Request.t instead"]
-
-val execute :
-  run_dir:string -> ?store:Vartune_store.Store.t -> params -> unit
-[@@ocaml.deprecated "use execute_request with a Request.t instead"]

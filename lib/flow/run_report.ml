@@ -3,7 +3,7 @@
    Chrome trace (span profile, domain utilization, GC attribution), a
    metrics JSON file (counters and histogram quantiles), and/or a
    journaled run directory (step timeline, checkpoint count, progress
-   and ETA from the version-2 record timestamps). *)
+   and ETA from the per-record timestamps). *)
 
 module Obs = Vartune_obs.Obs
 module Json = Vartune_obs.Json
@@ -12,7 +12,7 @@ module Journal = Vartune_journal.Journal
 
 type timeline = {
   steps : Journal.timed list;
-  samples : int;  (* target sample count from Run_started; 0 if absent *)
+  samples : int;  (* target sample count of the run's request; 0 if absent *)
   samples_done : int;  (* highest Block_done hi *)
   blocks : int;
   checkpoints : int;
@@ -40,7 +40,13 @@ let timeline_of_steps steps =
   let last = List.fold_left (fun _ s -> s.Journal.at_ns) first steps in
   let samples =
     List.find_map
-      (function Journal.{ step = Run_started { samples; _ }; _ } -> Some samples | _ -> None)
+      (function
+        | Journal.{ step = Run_started { request; _ }; _ } -> (
+          match Request.of_line request with
+          | Ok { Request.req; _ } ->
+            Option.map (fun b -> b.Request.samples) (Request.base_of req)
+          | Error _ -> None)
+        | _ -> None)
       steps
     |> Option.value ~default:0
   in

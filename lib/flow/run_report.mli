@@ -5,7 +5,9 @@
 
 type timeline = {
   steps : Vartune_journal.Journal.timed list;
-  samples : int;  (** target sample count from [Run_started]; 0 if absent *)
+  samples : int;
+      (** target sample count of the [Run_started] request line; 0 if
+          absent or undecodable *)
   samples_done : int;  (** highest [Block_done] upper bound *)
   blocks : int;
   checkpoints : int;

@@ -8,8 +8,10 @@ let src = Logs.Src.create "vartune.journal" ~doc:"run journal"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Version 2 added a wall-clock timestamp to every record (the report's
-   journal timeline and ETA); version-1 journals are refused cleanly. *)
-let version = 2
+   journal timeline and ETA); version 3 replaced run-started's loose
+   parameter fields with the run's canonical request line.  Older
+   journals are refused cleanly. *)
+let version = 3
 let magic = "VTJRNL01"
 
 exception Corrupt of string
@@ -30,15 +32,7 @@ let c_replayed = Obs.Counter.make "journal.replayed_steps"
 (* ------------------------------------------------------------------ *)
 
 type step =
-  | Run_started of {
-      seed : int;
-      samples : int;
-      kind : string;
-      mc_samples : int;
-      period : float option;
-      tuning : string;
-      output : string option;
-    }
+  | Run_started of { request : string; output : string option }
   | Block_done of { statlib : string; lo : int; hi : int }
   | Checkpoint of { statlib : string; blocks : int; samples_done : int; key : string }
   | Statlib_built of { key : string }
@@ -49,11 +43,8 @@ type step =
   | Sealed of { reason : string }
 
 let step_to_string = function
-  | Run_started { seed; samples; kind; mc_samples; period; tuning; output } ->
-    Printf.sprintf "run-started kind=%s seed=%d samples=%d mc_samples=%d period=%s tuning=%s%s"
-      kind seed samples mc_samples
-      (match period with None -> "auto" | Some p -> Printf.sprintf "%.17g" p)
-      (if tuning = "" then "-" else tuning)
+  | Run_started { request; output } ->
+    Printf.sprintf "run-started request=%s%s" request
       (match output with None -> "" | Some o -> " output=" ^ o)
   | Block_done { statlib = _; lo; hi } -> Printf.sprintf "block-done lo=%d hi=%d" lo hi
   | Checkpoint { statlib = _; blocks; samples_done; key = _ } ->
@@ -67,14 +58,6 @@ let step_to_string = function
   | Resumed { replayed } -> Printf.sprintf "resumed replayed=%d" replayed
   | Sealed { reason } -> Printf.sprintf "sealed reason=%s" reason
 
-let w_opt_float b = function
-  | None -> Codec.w_bool b false
-  | Some v ->
-    Codec.w_bool b true;
-    Codec.w_float b v
-
-let r_opt_float r = if Codec.r_bool r then Some (Codec.r_float r) else None
-
 let w_opt_string b = function
   | None -> Codec.w_bool b false
   | Some v ->
@@ -86,14 +69,9 @@ let r_opt_string r = if Codec.r_bool r then Some (Codec.r_string r) else None
 let encode_step step =
   let b = Buffer.create 128 in
   (match step with
-  | Run_started { seed; samples; kind; mc_samples; period; tuning; output } ->
+  | Run_started { request; output } ->
     Codec.w_int b 0;
-    Codec.w_int b seed;
-    Codec.w_int b samples;
-    Codec.w_string b kind;
-    Codec.w_int b mc_samples;
-    w_opt_float b period;
-    Codec.w_string b tuning;
+    Codec.w_string b request;
     w_opt_string b output
   | Block_done { statlib; lo; hi } ->
     Codec.w_int b 1;
@@ -134,14 +112,9 @@ let encode_step step =
 let decode_step r =
   match Codec.r_int r with
   | 0 ->
-    let seed = Codec.r_int r in
-    let samples = Codec.r_int r in
-    let kind = Codec.r_string r in
-    let mc_samples = Codec.r_int r in
-    let period = r_opt_float r in
-    let tuning = Codec.r_string r in
+    let request = Codec.r_string r in
     let output = r_opt_string r in
-    Run_started { seed; samples; kind; mc_samples; period; tuning; output }
+    Run_started { request; output }
   | 1 ->
     let statlib = Codec.r_string r in
     let lo = Codec.r_int r in

@@ -17,8 +17,8 @@
 
     All integers are {!Vartune_store.Codec} fixed-width little-endian;
     [payload] is a length-prefixed string holding a wall-clock
-    timestamp (ns since the epoch, covered by the checksum — journal
-    version 2) followed by one encoded step, and [checksum] is a 62-bit
+    timestamp (ns since the epoch, covered by the checksum) followed
+    by one encoded step, and [checksum] is a 62-bit
     FNV-1a digest of it.  Appends are serialised
     through a mutex, written with a single [write] and [fsync]ed, so a
     reader never observes a torn record from a graceful writer.  Replay
@@ -42,9 +42,10 @@
     enabled, so checkpoint overhead and resume savings are measurable. *)
 
 val version : int
-(** Journal layout version (independent of the store codec version,
+(** Journal layout version, 3 (independent of the store codec version,
     which is recorded alongside it: artifacts checkpointed under one
-    codec version cannot seed a pipeline running another). *)
+    codec version cannot seed a pipeline running another).  A journal
+    of any other version is refused with {!Corrupt}. *)
 
 exception Corrupt of string
 (** The journal failed header, checksum or structural validation. *)
@@ -59,14 +60,11 @@ exception Interrupted of string
 
 type step =
   | Run_started of {
-      seed : int;
-      samples : int;
-      kind : string;  (** ["statlib"] or ["experiment"] *)
-      mc_samples : int;
-      period : float option;
-      tuning : string;  (** {!Vartune_tuning.Tuning_method.to_string} spelling *)
-      output : string option;
-    }  (** The run's full parameter set — what [resume] reconstructs. *)
+      request : string;
+          (** the run's canonical request line ([Request.to_line]);
+              opaque bytes to the journal *)
+      output : string option;  (** [-o]: extra copy of the library *)
+    }  (** What the run computes — what [resume] reconstructs. *)
   | Block_done of { statlib : string; lo : int; hi : int }
       (** Sample indices [\[lo, hi)] of the statistical library whose
           store-recipe id is [statlib] have been accumulated. *)

@@ -385,14 +385,17 @@ let stats = stats_of
 
 let run config =
   ignore_sigpipe ();
-  let h = make_handle config (bind_socket ~backlog:config.backlog config.socket) in
+  (* The handlers go in before the socket is bound: a client may signal
+     as soon as the socket appears, and that must still drain. *)
+  let stopping = Atomic.make false in
   List.iter
     (fun signal ->
-      try
-        Sys.set_signal signal
-          (Sys.Signal_handle (fun _ -> Atomic.set h.stopping true))
+      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ];
+  let h =
+    { (make_handle config (bind_socket ~backlog:config.backlog config.socket)) with stopping }
+  in
   Log.info (fun m ->
       m "serving on %s (%d workers, queue cap %d; SIGINT/SIGTERM drains gracefully)"
         config.socket config.workers config.queue_cap);

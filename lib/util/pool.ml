@@ -452,9 +452,6 @@ let map_array_chunked pool ?chunk f xs =
 let map_chunked pool ?chunk f xs =
   Array.to_list (map_array_chunked pool ?chunk f (Array.of_list xs))
 
-let map_reduce pool ~map:f ~combine ~init xs =
-  List.fold_left combine init (map pool f xs)
-
 (* ------------------------------------------------------------------ *)
 (* Shared default pool                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -2,7 +2,7 @@
 
     Every parallel stage of the pipeline routes through this module.  The
     contract that makes parallelism safe to adopt everywhere is
-    {e scheduling-independence}: [map]/[init]/[map_reduce] return results
+    {e scheduling-independence}: [map]/[map_chunked]/[init] return results
     in input order, re-raise the lowest-index exception, and never let the
     number of workers influence which element is computed from which
     input.  Combined with per-item RNG streams ({!Rng.stream}) the whole
@@ -117,9 +117,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     raises, the exception of the lowest-index failing element is
     re-raised in the caller (after all tasks have settled). *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Array counterpart of {!map}. *)
-
 val init : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [init pool ~chunk n f] is [Array.init n f] evaluated in parallel.
     Indices are grouped into contiguous blocks of [chunk] (resolved as
@@ -129,7 +126,7 @@ val init : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 
 (** {2:chunking Chunked submission}
 
-    [map_chunked] / [map_array_chunked] / [init] batch contiguous index
+    [map_chunked] / [init] batch contiguous index
     blocks of [chunk] items into one pool task, amortising the per-task
     closure, boxing and queue-handoff overhead that made fine-grained
     stages slower than serial.  The chunk size is resolved, highest
@@ -156,9 +153,6 @@ val map_chunked : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_chunked pool ~chunk f xs] is {!map} with [chunk] consecutive
     items batched per pool task. *)
 
-val map_array_chunked : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Array counterpart of {!map_chunked}. *)
-
 val chunk_for : t -> items:int -> int
 (** The chunk size a call without [?chunk] would use for [items] items
     on this pool (override, else environment, else automatic) — exposed
@@ -178,12 +172,6 @@ val set_default_chunk : int -> unit
 val clear_default_chunk : unit -> unit
 (** Removes a {!set_default_chunk} override, restoring environment /
     automatic resolution.  Mainly for tests. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce pool ~map ~combine ~init xs] applies [map] in parallel
-    and folds [combine] over the results {e in input order} — the
-    reduction itself is sequential and deterministic. *)
 
 val default : unit -> t
 (** The process-wide shared pool, created on first use with [create ()].

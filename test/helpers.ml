@@ -174,3 +174,17 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
   scan 0
+
+(* Writes a journal holding [steps] whose header claims layout
+   [version] — what a journal written by another build looks like.  The
+   version is the header's first integer, right after the 8-byte magic. *)
+let journal_with_version path ~version steps =
+  let module Journal = Vartune_journal.Journal in
+  let j = Journal.create path in
+  List.iter (Journal.append j) steps;
+  Journal.close j;
+  let contents = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let v = Buffer.create 8 in
+  Vartune_store.Codec.w_int v version;
+  Bytes.blit_string (Buffer.contents v) 0 contents 8 (Buffer.length v);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc contents)

@@ -7,6 +7,9 @@
 
 module Library = Vartune_liberty.Library
 module Printer = Vartune_liberty.Printer
+module Journal = Vartune_journal.Journal
+module Run = Vartune_flow.Run
+module Request = Vartune_flow.Request
 
 (* The binary is a declared dune dep, built next to this test:
    _build/default/{test/test_cli.exe, bin/vartune.exe}.  Resolve it
@@ -118,9 +121,91 @@ let test_resume_damaged_journal () =
   check_exit "journal listing of a corrupt journal exits 65" 65
     (vartune [ "journal"; corrupt ])
 
+(* A run directory whose journal holds [steps] under a header claiming
+   layout [version]. *)
+let run_dir_with name ?(version = Journal.version) steps =
+  let rd = in_temp name in
+  mkdir_p rd;
+  Helpers.journal_with_version (Run.journal_path rd) ~version steps;
+  rd
+
+let test_resume_old_version () =
+  let rd =
+    run_dir_with "v2_run" ~version:2
+      [ Journal.Run_started
+          { request = Request.to_line (Request.Statlib { seed = 1; samples = 2 });
+            output = None } ]
+  in
+  check_exit "resume of a version-2 journal exits 65" 65
+    (vartune [ "resume"; rd; "--no-store" ])
+
+(* A run-started line that does not decode to a journal-able request is
+   journal damage: [Run.resume] raises [Corrupt] (never [Failure] or
+   [Invalid_argument]) and the CLI exits 65. *)
+let test_resume_undecodable_request () =
+  List.iter
+    (fun (name, line) ->
+      let rd =
+        run_dir_with ("bad_request_" ^ name)
+          [ Journal.Run_started { request = line; output = None } ]
+      in
+      (match Run.resume ~run_dir:rd () with
+      | () -> Alcotest.failf "%s: resume accepted the run" name
+      | exception Journal.Corrupt _ -> ()
+      | exception exn ->
+        Alcotest.failf "%s: resume raised %s, not Corrupt" name (Printexc.to_string exn));
+      check_exit (name ^ " request line: resume exits 65") 65
+        (vartune [ "resume"; rd; "--no-store" ]))
+    [
+      ("malformed", {|{"vartune":1,"kind":"statlib","seed":|});
+      ("unsupported_version", {|{"vartune":99,"kind":"statlib","seed":1,"samples":2}|});
+      ("not_journal_able", Request.to_line (Request.Parse { file = "x.lib" }));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Interrupt / resume through the real binary                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The journal's record of a run is the canonical line of the request
+   the subcommand submitted.  The stop hook interrupts the run during
+   the statistical build, before the min-period search. *)
+let test_experiment_run_record () =
+  let rd = in_temp "experiment_run" in
+  check_exit "interrupted experiment exits 75" 75
+    (vartune
+       ~env:[ ("VARTUNE_STOP_AFTER_BLOCKS", "1"); ("VARTUNE_CKPT_BLOCKS", "1") ]
+       [ "experiment"; "-n"; "8"; "--mc-samples"; "100"; "--period"; "5"; "--no-store";
+         "--run-dir"; rd ]);
+  let submitted =
+    Request.Sweep
+      {
+        base = { seed = 42; samples = 8 };
+        tuning = Option.get (Vartune_tuning.Tuning_method.of_string "cell/ceiling=0.02");
+        period = Some 5.0;
+        parameters = [ 0.01; 0.02; 0.05 ];
+        mc_samples = Some 100;
+      }
+  in
+  let listing = in_temp "experiment_journal.txt" in
+  check_exit "journal listing validates" 0 (vartune ~capture:listing [ "journal"; rd ]);
+  Alcotest.(check (list string))
+    "run-started line carries the submitted request's canonical line"
+    [ "run-started request=" ^ Request.to_line submitted ]
+    (List.filter
+       (String.starts_with ~prefix:"run-started")
+       (String.split_on_char '\n' (read_file listing)));
+  match Journal.replay (Run.journal_path rd) with
+  | Journal.Run_started { request; output = None } :: _ -> (
+    match Request.of_line request with
+    | Ok { Request.req = Request.Sweep { period = Some p; parameters; _ } as req; _ } ->
+      Alcotest.(check bool) "decodes to the submitted request" true (req = submitted);
+      Alcotest.(check (list int64))
+        "period and parameters bit-exact"
+        (List.map Int64.bits_of_float (5.0 :: [ 0.01; 0.02; 0.05 ]))
+        (List.map Int64.bits_of_float (p :: parameters))
+    | Ok _ -> Alcotest.failf "run-started decodes to another request: %s" request
+    | Error e -> Alcotest.failf "run-started does not decode: %s" (Request.error_message e))
+  | _ -> Alcotest.fail "journal does not open with run-started"
 
 let test_statlib_interrupt_resume () =
   let rd = in_temp "run" and rd_ref = in_temp "run_ref" in
@@ -152,7 +237,6 @@ let test_statlib_interrupt_resume () =
 (* Overload drain through the real binary                              *)
 (* ------------------------------------------------------------------ *)
 
-module Request = Vartune_flow.Request
 module Response = Vartune_flow.Response
 module Client = Vartune_serve.Client
 module Json = Vartune_obs.Json
@@ -252,10 +336,14 @@ let () =
           Alcotest.test_case "full stdout (74)" `Quick test_io_error_full_stdout;
           Alcotest.test_case "parse ok (0)" `Quick test_parse_ok;
           Alcotest.test_case "damaged journal (65)" `Quick test_resume_damaged_journal;
+          Alcotest.test_case "version-2 journal (65)" `Quick test_resume_old_version;
+          Alcotest.test_case "undecodable request line (65)" `Quick
+            test_resume_undecodable_request;
         ] );
       ( "resume",
         [
           Alcotest.test_case "statlib interrupt/resume" `Slow test_statlib_interrupt_resume;
+          Alcotest.test_case "experiment run record" `Slow test_experiment_run_record;
         ] );
       ( "serve",
         [

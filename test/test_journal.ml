@@ -16,6 +16,8 @@ module Characterize = Vartune_charlib.Characterize
 module Catalog = Vartune_stdcell.Catalog
 module Mismatch = Vartune_process.Mismatch
 module Printer = Vartune_liberty.Printer
+module Request = Vartune_flow.Request
+module Tuning_method = Vartune_tuning.Tuning_method
 
 let temp_root =
   Filename.concat
@@ -38,24 +40,20 @@ let all_steps =
   [
     Journal.Run_started
       {
-        seed = 42;
-        samples = 50;
-        kind = "experiment";
-        mc_samples = 2000;
-        period = Some 4.08;
-        tuning = "cell/ceiling=0.02";
+        request =
+          Request.to_line
+            (Request.Sweep
+               {
+                 base = { seed = 42; samples = 50 };
+                 tuning = Option.get (Tuning_method.of_string "cell/ceiling=0.02");
+                 period = Some 4.08;
+                 parameters = [ 0.01; 0.02; 0.05 ];
+                 mc_samples = Some 2000;
+               });
         output = Some "out.lib";
       };
     Journal.Run_started
-      {
-        seed = 1;
-        samples = 8;
-        kind = "statlib";
-        mc_samples = 0;
-        period = None;
-        tuning = "";
-        output = None;
-      };
+      { request = Request.to_line (Request.Statlib { seed = 1; samples = 8 }); output = None };
     Journal.Block_done { statlib = "statlib(n=8)"; lo = 0; hi = 4 };
     Journal.Checkpoint
       { statlib = "statlib(n=8)"; blocks = 1; samples_done = 4; key = "partial(blocks=1)" };
@@ -164,6 +162,23 @@ let test_partial_write_torn_record () =
   (* the torn record is on disk; replay must refuse the whole file
      rather than hand back a guessed prefix *)
   check_corrupt "torn record" path
+
+(* A journal written under the previous layout (version 2, whose
+   run-started record held loose parameter fields) is refused by the
+   header check before any record is decoded. *)
+let test_old_version_refused () =
+  let path = fresh_path "v2.vtj" in
+  Helpers.journal_with_version path ~version:2 [ Journal.Resumed { replayed = 0 } ];
+  match Journal.replay path with
+  | _ -> Alcotest.fail "replay accepted a version-2 journal"
+  | exception Journal.Corrupt msg ->
+    List.iter
+      (fun v ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names version %d" msg v)
+          true
+          (Helpers.contains msg (string_of_int v)))
+      [ 2; Journal.version ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed builds: interrupt, resume, bit-identity                *)
@@ -299,6 +314,7 @@ let () =
           Alcotest.test_case "bit flips detected" `Quick test_bit_flip_detected;
           Alcotest.test_case "write fault degrades" `Quick test_write_fault_degrades;
           Alcotest.test_case "torn record refused" `Quick test_partial_write_torn_record;
+          Alcotest.test_case "version 2 refused" `Quick test_old_version_refused;
         ] );
       ( "resume",
         [

@@ -54,19 +54,6 @@ let test_init_chunking () =
             (Pool.init pool ~chunk 1000 f)))
     [ (1, 1); (2, 16); (5, 7); (3, 1000); (4, 1500) ]
 
-let test_map_reduce_ordered () =
-  (* combine is non-commutative, so any reordering would change the
-     result *)
-  let xs = List.init 50 (fun i -> string_of_int i) in
-  let expected = String.concat "," xs in
-  with_pool 6 (fun pool ->
-      let got =
-        Pool.map_reduce pool ~map:Fun.id
-          ~combine:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-          ~init:"" xs
-      in
-      Alcotest.(check string) "ordered reduction" expected got)
-
 let test_jobs_accessor_and_serial_fallback () =
   with_pool 1 (fun pool ->
       Alcotest.(check int) "jobs" 1 (Pool.jobs pool);
@@ -297,7 +284,6 @@ let () =
           Alcotest.test_case "map empty/singleton" `Quick test_map_empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "init chunking" `Quick test_init_chunking;
-          Alcotest.test_case "map_reduce ordered" `Quick test_map_reduce_ordered;
           Alcotest.test_case "serial fallback" `Quick test_jobs_accessor_and_serial_fallback;
           Alcotest.test_case "bad jobs rejected" `Quick test_create_rejects_bad_jobs;
           Alcotest.test_case "map_chunked ordering" `Quick test_map_chunked_matches_map;
