@@ -22,7 +22,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type t = {
   verbose : bool;
   jobs : int option;
-  chunk : int option;
   trace : string option;
   metrics_out : string option;
   seed : int;
@@ -56,17 +55,6 @@ let jobs_arg =
           "Worker-pool size for the parallel stages (default: $(b,VARTUNE_JOBS), else the \
            recommended domain count; 1 forces serial execution; 0 or negative values are \
            rejected). Output is bit-identical at any value.")
-
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Items batched per worker-pool task in the chunked parallel stages (default: \
-           $(b,VARTUNE_POOL_CHUNK), else an automatic size of about eight tasks per \
-           worker). Chunking changes dispatch granularity only; output is bit-identical \
-           at any value.")
 
 let trace_arg =
   Arg.(
@@ -128,11 +116,11 @@ let faults_arg =
            ($(b,delay) only stretches service time, for overload chaos testing).")
 
 let term =
-  let make verbose jobs chunk trace metrics_out seed samples store_dir no_store faults =
-    { verbose; jobs; chunk; trace; metrics_out; seed; samples; store_dir; no_store; faults }
+  let make verbose jobs trace metrics_out seed samples store_dir no_store faults =
+    { verbose; jobs; trace; metrics_out; seed; samples; store_dir; no_store; faults }
   in
   Term.(
-    const make $ verbose_arg $ jobs_arg $ chunk_arg $ trace_arg $ metrics_arg $ seed_arg
+    const make $ verbose_arg $ jobs_arg $ trace_arg $ metrics_arg $ seed_arg
     $ samples_arg $ store_arg $ no_store_arg $ faults_arg)
 
 (* The one flag -> Request.t bridge every subcommand shares: the common
@@ -194,12 +182,6 @@ let validate_env () =
     | Ok _ -> ()
     | Error msg -> fail "VARTUNE_POOL_STALL_S" v msg)
   | _ -> ());
-  (match Sys.getenv_opt "VARTUNE_POOL_CHUNK" with
-  | Some v when v <> "" -> (
-    match Pool.parse_chunk v with
-    | Ok _ -> ()
-    | Error msg -> fail "VARTUNE_POOL_CHUNK" v msg)
-  | _ -> ());
   List.iter
     (fun name ->
       match Sys.getenv_opt name with
@@ -224,8 +206,7 @@ let setup t =
   validate_env ();
   setup_obs t;
   setup_faults t;
-  Option.iter Pool.set_default_jobs t.jobs;
-  Option.iter Pool.set_default_chunk t.chunk
+  Option.iter Pool.set_default_jobs t.jobs
 
 let store t =
   if t.no_store then None
@@ -320,11 +301,6 @@ let man =
         "falls back to $(b,VARTUNE_JOBS), then the recommended domain count. Results are \
          bit-identical at any value." );
     `I
-      ( "$(b,--chunk)",
-        "falls back to $(b,VARTUNE_POOL_CHUNK), then an automatic size of about eight \
-         tasks per worker. Batches pool-task dispatch in the chunked stages; results are \
-         bit-identical at any value." );
-    `I
       ( "$(b,--store)",
         "falls back to $(b,VARTUNE_STORE), then \\$XDG_CACHE_HOME/vartune, then \
          ~/.cache/vartune. $(b,--no-store) disables persistence entirely; stored and \
@@ -381,7 +357,7 @@ let man =
     `I
       ( "64",
         "usage error (bad flag value, malformed $(b,--faults) spec, malformed \
-         $(b,VARTUNE_POOL_STALL_S)/$(b,VARTUNE_POOL_CHUNK)/$(b,VARTUNE_CKPT_BLOCKS) \
+         $(b,VARTUNE_POOL_STALL_S)/$(b,VARTUNE_CKPT_BLOCKS) \
          value)." );
     `I
       ( "65",

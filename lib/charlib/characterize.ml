@@ -128,21 +128,25 @@ module Store_log = (val Logs.src_log store_log_src : Logs.LOG)
 (* Cheap structural sanity check on an artifact served by the store: the
    cell count is fully determined by the specs in the key, so a mismatch
    means the entry is logically corrupt even though its checksum and
-   codec framing were fine.  Recompute rather than serve it. *)
+   codec framing were fine.  Raising [Codec.Corrupt] makes the store
+   evict the entry and the caller recompute rather than serve it. *)
 let expected_cells specs =
   List.fold_left (fun acc (s : Spec.t) -> acc + List.length s.drives) 0 specs
 
-let validated_library ~what ~specs lib =
+let decode_library ~what ~specs r =
+  let lib = Codec.r_library r in
   let expected = expected_cells specs in
   let actual = Library.size lib in
-  if actual = expected then Some lib
-  else begin
+  if actual <> expected then begin
     Store_log.warn (fun m ->
         m "stored %s library has %d cells where the specs demand %d; discarding and \
            recomputing"
           what actual expected);
-    None
-  end
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "%s library: %d cells, specs demand %d" what actual expected))
+  end;
+  lib
 
 let add_config_to_key key config =
   let p = config.params in
@@ -167,17 +171,9 @@ let add_specs_to_key key specs =
     key specs
 
 let nominal ?(specs = Vartune_stdcell.Catalog.specs) ?store config =
-  let compute () = library config specs in
-  match store with
-  | None -> compute ()
-  | Some store -> (
-    let key = add_specs_to_key (add_config_to_key (Store.Key.v "nominal") config) specs in
-    match
-      Option.bind (Store.load store key Codec.r_library)
-        (validated_library ~what:"nominal" ~specs)
-    with
-    | Some lib -> lib
-    | None ->
-      let lib = compute () in
-      Store.save store key (fun b -> Codec.w_library b lib);
-      lib)
+  let key = add_specs_to_key (add_config_to_key (Store.Key.v "nominal") config) specs in
+  fst
+    (Store.fetch (Option.to_list store) key
+       (decode_library ~what:"nominal" ~specs)
+       (fun lib b -> Codec.w_library b lib)
+       (fun () -> library config specs))

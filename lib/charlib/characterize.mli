@@ -45,23 +45,24 @@ val nominal :
     [store], the library is fetched from / saved to the persistent
     artifact store under a key derived from the full characterisation
     config and catalog shape.  A stored entry whose cell count does not
-    match the specs (see {!validated_library}) is discarded and
-    recomputed. *)
+    match the specs (see {!decode_library}) is evicted and recomputed. *)
 
 val expected_cells : Vartune_stdcell.Spec.t list -> int
 (** Number of cells a library characterised from [specs] must contain
     (one per family × drive). *)
 
-val validated_library :
+val decode_library :
   what:string ->
   specs:Vartune_stdcell.Spec.t list ->
-  Vartune_liberty.Library.t ->
-  Vartune_liberty.Library.t option
-(** Structural sanity check for libraries served by the artifact store:
-    [None] (with a warning naming [what]) when the cell count
-    contradicts [specs] — the entry passed its checksum but is
-    logically corrupt, so the caller must recompute.  Part of the
-    store's never-serve-a-corrupt-artifact contract. *)
+  Vartune_store.Codec.reader ->
+  Vartune_liberty.Library.t
+(** Store decoder for libraries characterised from [specs]:
+    {!Vartune_store.Codec.r_library} plus a structural sanity check.
+    When the cell count contradicts [specs] the entry passed its
+    checksum but is logically corrupt, so it logs a warning naming
+    [what] and raises {!Vartune_store.Codec.Corrupt}; the store then
+    evicts the entry and the caller recomputes.  Part of the store's
+    never-serve-a-corrupt-artifact contract. *)
 
 (** {1 Store fingerprints} *)
 

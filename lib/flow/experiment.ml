@@ -31,17 +31,13 @@ type run = {
   design_sigma : Design_sigma.t;
 }
 
-type memo_key = int * float * string
-(** (structural design fingerprint, period, label) *)
-
 type memo = {
-  table : (memo_key, run) Hashtbl.t;
-  (** guarded by [lock] so sweep points may run on pool workers *)
+  table : (string, run) Hashtbl.t;
+      (** keyed by the recipe id of {!run_key}; guarded by [lock] so
+          sweep points may run on pool workers *)
   lock : Mutex.t;
-  store : Store.t option;
-  ckpt : Journal.ctx option;
-      (** checkpoint context of a journaled run: its state store is an
-          extra cache layer and every landed artifact is journaled *)
+  tiers : Store.t list;  (** {!Journal.tiers}: shared store, then run state *)
+  ckpt : Journal.ctx option;  (** a journaled run records every landed artifact *)
   statlib_id : string;
       (** full recipe id of the statistical-library store key; chained
           into every run key so a different library invalidates runs *)
@@ -71,26 +67,8 @@ let paper_period_labels min_period =
     ("low", Float.round (10.0 *. scale *. 100.0) /. 100.0);
   ]
 
-let make_memo ?store ?ckpt ~statlib_id () =
-  { table = Hashtbl.create 64; lock = Mutex.create (); store; ckpt; statlib_id }
-
-(* Cache layers of a journaled run, probe order: the shared artifact
-   store first, then the run's private state store.  Artifacts land in
-   both so a later resume finds them even when the shared store is
-   disabled or wiped. *)
-let cache_stores ?store ?ckpt () =
-  (match store with Some s -> [ s ] | None -> [])
-  @ match ckpt with Some c -> [ c.Journal.state ] | None -> []
-
-let rec first_load stores key decode =
-  match stores with
-  | [] -> None
-  | s :: rest -> (
-    match Store.load s key decode with
-    | Some _ as hit -> hit
-    | None -> first_load rest key decode)
-
-let save_all stores key encode = List.iter (fun s -> Store.save s key encode) stores
+let make_memo ?(tiers = []) ?ckpt ~statlib_id () =
+  { table = Hashtbl.create 64; lock = Mutex.create (); tiers; ckpt; statlib_id }
 
 let min_period_key ~statlib_id ~design_fp =
   Store.Key.(int (str (v "min_period") "statlib" statlib_id) "design" design_fp)
@@ -113,23 +91,18 @@ let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
   Log.info (fun m -> m "design %s: %d IR nodes" (Ir.name design) (Ir.node_count design));
   let design_fp = Ir.fingerprint design in
   Option.iter Journal.check_stop ckpt;
-  let min_period =
-    let measure () = Synthesis.min_period statlib design in
-    let key = min_period_key ~statlib_id ~design_fp in
-    let stores = cache_stores ?store ?ckpt () in
-    let p =
-      match first_load stores key Codec.r_float with
-      | Some p -> p
-      | None ->
-        let p = measure () in
-        save_all stores key (fun b -> Codec.w_float b p);
-        p
-    in
-    Option.iter
-      (fun c -> Journal.record c (Journal.Min_period { key = Store.Key.id key; period = p }))
-      ckpt;
-    p
+  let tiers = Journal.tiers ?store ckpt in
+  let min_period_key = min_period_key ~statlib_id ~design_fp in
+  let min_period, _ =
+    Store.fetch tiers min_period_key Codec.r_float
+      (fun p b -> Codec.w_float b p)
+      (fun () -> Synthesis.min_period statlib design)
   in
+  Option.iter
+    (fun c ->
+      Journal.record c
+        (Journal.Min_period { key = Store.Key.id min_period_key; period = min_period }))
+    ckpt;
   Log.info (fun m -> m "minimum period: %.2f ns" min_period);
   {
     char_config;
@@ -141,7 +114,7 @@ let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
     statlib;
     min_period;
     periods = paper_period_labels min_period;
-    memo = make_memo ?store ?ckpt ~statlib_id ();
+    memo = make_memo ~tiers ?ckpt ~statlib_id ();
   }
 
 let recipe_ids setup =
@@ -173,7 +146,7 @@ let run_key setup ~period ~label ~(cons : Constraints.t) =
     int k "max_iterations" cons.max_iterations |> fun k ->
     bool k "area_recovery" cons.area_recovery)
 
-let encode_run b r =
+let encode_run r b =
   Codec.w_string b r.label;
   Codec.w_float b r.period;
   Codec.w_result b r.result;
@@ -188,57 +161,41 @@ let decode_run ~(cons : Constraints.t) r =
   let design_sigma = Codec.r_design_sigma r in
   { label; period; result; paths; design_sigma }
 
-(* Synthesis runs are deterministic in (setup identity, period, label);
-   the experiments re-visit baselines constantly, so memoise.  Lookups
-   go memo table → store → compute; either cache layer returns runs
-   bit-identical to a fresh synthesis.  The memo table lives in the
-   setup — so two setups never share entries — and is keyed on the
-   structural design fingerprint, so two mcu_configs that happen to
-   elaborate to the same node count still cannot collide.  The mutex
-   makes the memo table safe under Pool.map; a miss is resolved outside
-   the lock (concurrent first requests may duplicate the work, but the
+(* Synthesis runs are deterministic in their recipe (setup identity,
+   period, label, constraints); the experiments re-visit baselines
+   constantly, so memoise.  Lookups go memo table → store tiers →
+   compute, all keyed by the recipe id of [run_key]; every cache level
+   returns runs bit-identical to a fresh synthesis.  The memo table
+   lives in the setup, so two setups never share entries.  The mutex
+   makes the table safe under Pool.map; a miss is resolved outside the
+   lock (concurrent first requests may duplicate the work, but the
    result is deterministic so either insert is correct). *)
 let run_with setup ~period ~label ~restrictions =
   let memo = setup.memo in
-  let key = (setup.design_fp, period, label) in
-  let cached = Mutex.protect memo.lock (fun () -> Hashtbl.find_opt memo.table key) in
-  match cached with
+  let cons = Constraints.make ~clock_period:period ?restrictions () in
+  let key = run_key setup ~period ~label ~cons in
+  let id = Store.Key.id key in
+  match Mutex.protect memo.lock (fun () -> Hashtbl.find_opt memo.table id) with
   | Some r ->
     Obs.Counter.incr c_cache_hits;
     r
   | None ->
-    let insert r =
-      Mutex.protect memo.lock (fun () ->
-          match Hashtbl.find_opt memo.table key with
-          | Some earlier -> earlier
-          | None ->
-            Hashtbl.replace memo.table key r;
-            r)
+    let r, hit =
+      Store.fetch memo.tiers key (decode_run ~cons) encode_run (fun () ->
+          let result = Synthesis.run cons setup.statlib setup.design in
+          let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
+          { label; period; result; paths; design_sigma = Design_sigma.of_paths paths })
     in
-    let cons = Constraints.make ~clock_period:period ?restrictions () in
-    let skey = run_key setup ~period ~label ~cons in
-    let stores = cache_stores ?store:memo.store ?ckpt:memo.ckpt () in
-    let record_done () =
-      Option.iter
-        (fun c ->
-          Journal.record c
-            (Journal.Synthesis_done { key = Store.Key.id skey; label; period }))
-        memo.ckpt
-    in
-    (match first_load stores skey (decode_run ~cons) with
-    | Some r ->
-      Obs.Counter.incr c_cache_hits;
-      record_done ();
-      insert r
-    | None ->
-      Obs.Counter.incr c_cache_misses;
-      let result = Synthesis.run cons setup.statlib setup.design in
-      let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
-      let design_sigma = Design_sigma.of_paths paths in
-      let r = { label; period; result; paths; design_sigma } in
-      save_all stores skey (fun b -> encode_run b r);
-      record_done ();
-      insert r)
+    Obs.Counter.incr (if hit then c_cache_hits else c_cache_misses);
+    Option.iter
+      (fun c -> Journal.record c (Journal.Synthesis_done { key = id; label; period }))
+      memo.ckpt;
+    Mutex.protect memo.lock (fun () ->
+        match Hashtbl.find_opt memo.table id with
+        | Some earlier -> earlier
+        | None ->
+          Hashtbl.replace memo.table id r;
+          r)
 
 let baseline setup ~period = run_with setup ~period ~label:"baseline" ~restrictions:None
 

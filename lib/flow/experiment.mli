@@ -7,11 +7,14 @@
     constraints from 2.41 ns.
 
     Synthesis runs are memoised behind the opaque {!memo} handle: an
-    in-process table absorbs repeat requests within a setup, and — when
-    {!prepare_request} was given a store — the persistent artifact store serves
-    warm processes the same runs bit-identically.  Neither layer is
-    observable in results: cold, warm and store-less executions produce
-    byte-identical reports at any pool size. *)
+    in-process table keyed by the run's store recipe id
+    ({!Vartune_store.Store.Key.id}) absorbs repeat requests within a
+    setup, and — when {!prepare_request} was given a store or a journaled
+    run — the same recipe fetches the run from the artifact store tiers
+    ({!Vartune_store.Store.fetch} over {!Vartune_journal.Journal.tiers}),
+    so warm processes get the same runs bit-identically.  No cache level
+    is observable in results: cold, warm and store-less executions
+    produce byte-identical reports at any pool size. *)
 
 type run = {
   label : string;
@@ -22,9 +25,9 @@ type run = {
 }
 
 type memo
-(** Opaque synthesis-run memo: a per-setup in-memory table plus an
-    optional persistent store binding.  Safe to share across pool
-    workers. *)
+(** Opaque synthesis-run memo: a per-setup in-memory table keyed by the
+    recipe id of each run's store key, plus the store tiers behind it.
+    Safe to share across pool workers. *)
 
 type setup = {
   char_config : Vartune_charlib.Characterize.config;

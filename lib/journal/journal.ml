@@ -388,3 +388,9 @@ let checkpoints_for ctx ~statlib =
         (blocks, samples_done) :: acc
       | _ -> acc)
     [] ctx.replayed
+
+(* Probe order of every cached artifact: the shared store first, then
+   the run's private state store.  Artifacts land in both, so a resume
+   finds them even when the shared store is disabled or wiped. *)
+let tiers ?store ctx =
+  Option.to_list store @ Option.to_list (Option.map (fun c -> c.state) ctx)

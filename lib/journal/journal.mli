@@ -173,3 +173,9 @@ val checkpoints_for : ctx -> statlib:string -> (int * int) list
 (** [(blocks, samples_done)] of every replayed {!Checkpoint} step for
     the given statistical-library recipe id, newest first — the order a
     resuming build should try (falling back on corrupt entries). *)
+
+val tiers : ?store:Vartune_store.Store.t -> ctx option -> Vartune_store.Store.t list
+(** The cache tiers of an artifact, in probe order for
+    {!Vartune_store.Store.fetch}: the shared [store] first, then the
+    journaled run's [state/] store.  Either may be absent; with neither,
+    the list is empty and every fetch computes. *)

@@ -535,33 +535,17 @@ let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
   let key = store_key config ~mismatch ~seed ~n ?specs () in
   let id = Store.Key.id key in
   let specs_used = Option.value specs ~default:Vartune_stdcell.Catalog.specs in
-  let stores =
-    (match store with Some s -> [ s ] | None -> [])
-    @ match ckpt with Some c -> [ c.Journal.state ] | None -> []
+  let lib, _ =
+    Store.fetch (Journal.tiers ?store ckpt) key
+      (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
+      (fun lib b -> Codec.w_library b lib)
+      (fun () ->
+        match ckpt with
+        | None -> of_stream ~pool ~n gen
+        | Some ckpt -> of_stream_ckpt ~ckpt ~id ~pool ~n gen)
   in
-  let rec first_hit = function
-    | [] -> None
-    | s :: rest -> (
-      match
-        Option.bind (Store.load s key Codec.r_library)
-          (Characterize.validated_library ~what:"statistical" ~specs:specs_used)
-      with
-      | Some lib -> Some lib
-      | None -> first_hit rest)
-  in
-  match first_hit stores with
-  | Some lib ->
-    Option.iter (fun c -> Journal.record c (Journal.Statlib_built { key = id })) ckpt;
-    lib
-  | None ->
-    let lib =
-      match ckpt with
-      | None -> of_stream ~pool ~n gen
-      | Some ckpt -> of_stream_ckpt ~ckpt ~id ~pool ~n gen
-    in
-    List.iter (fun s -> Store.save s key (fun b -> Codec.w_library b lib)) stores;
-    Option.iter (fun c -> Journal.record c (Journal.Statlib_built { key = id })) ckpt;
-    lib
+  Option.iter (fun c -> Journal.record c (Journal.Statlib_built { key = id })) ckpt;
+  lib
 
 let is_statistical lib =
   List.for_all

@@ -512,6 +512,21 @@ let save (t : t) key encode =
   | Ok () | Error (Locked | Disabled | Io _ | No_space _) -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Tiered fetch                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let fetch stores key decode encode compute =
+  let rec probe = function
+    | [] ->
+      let v = compute () in
+      List.iter (fun s -> save s key (encode v)) stores;
+      (v, false)
+    | s :: rest -> (
+      match load s key decode with Some v -> (v, true) | None -> probe rest)
+  in
+  probe stores
+
+(* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
 

@@ -149,6 +149,21 @@ val save_result : t -> Key.t -> (Buffer.t -> unit) -> (unit, error) result
 (** Like {!save} but surfaces typed failures instead of swallowing
     them. *)
 
+val fetch :
+  t list -> Key.t -> (Codec.reader -> 'a) -> ('a -> Buffer.t -> unit) -> (unit -> 'a) ->
+  'a * bool
+(** [fetch stores key decode encode compute] is the one probe-and-save
+    policy of every cached pipeline artifact.  The stores are probed
+    with {!load} in list order and the first hit wins; a hit in a later
+    store is not written back to earlier ones.  On a miss in every
+    store, [compute] runs once and its result is {!save}d to all of
+    them.  The flag is [true] on a hit.  An exception from [compute]
+    (e.g. a journaled run's [Interrupted]) propagates and nothing is
+    saved.  Like {!load}, a corrupt entry — including one whose
+    decoder raises {!Codec.Corrupt} on a semantic check — is evicted
+    and treated as a miss, so the next store (or [compute]) serves the
+    artifact. *)
+
 val degraded : t -> bool
 (** [true] once the handle has dropped to no-store mode (ENOSPC or
     repeated exhausted-retry failures).  Degradation is one-way for the

@@ -97,51 +97,17 @@ let env_stall_timeout () =
 
 (* --------------------- chunked-submission size --------------------- *)
 
-(* Chunk-size precedence mirrors the jobs precedence: an explicit
-   [?chunk] (the --chunk flag passes through set_default_chunk) wins,
-   then VARTUNE_POOL_CHUNK, then an automatic size that aims for ~8
-   tasks per worker so scheduling stays balanced while per-task
+(* An explicit [?chunk] wins; otherwise an automatic size that aims for
+   ~8 tasks per worker so scheduling stays balanced while per-task
    closure/boxing overhead amortises over many items.  Chunking is
    granularity only: it can never change what is computed from which
    input, so results are bit-identical at any chunk size. *)
-let parse_chunk v =
-  match int_of_string_opt (String.trim v) with
-  | Some c when c >= 1 -> Ok c
-  | Some c -> Error (Printf.sprintf "chunk size %d is not a positive integer" c)
-  | None -> Error (Printf.sprintf "bad chunk size %S: expected a positive integer" v)
-
-let chunk_override = Atomic.make None
-
-let set_default_chunk c =
-  if c < 1 then
-    invalid_arg (Printf.sprintf "Pool.set_default_chunk: chunk must be positive (got %d)" c)
-  else Atomic.set chunk_override (Some c)
-
-let clear_default_chunk () = Atomic.set chunk_override None
-
-(* Like VARTUNE_JOBS, a malformed value is rejected loudly; the CLI
-   pre-validates and turns this into a usage error (exit 64). *)
-let env_chunk () =
-  match Sys.getenv_opt "VARTUNE_POOL_CHUNK" with
-  | None -> None
-  | Some v when String.trim v = "" -> None
-  | Some v -> (
-    match parse_chunk v with
-    | Ok c -> Some c
-    | Error msg -> invalid_arg (Printf.sprintf "VARTUNE_POOL_CHUNK: %s" msg))
-
 let tasks_per_worker = 8
 
 let resolve_chunk ?chunk pool ~items =
   match chunk with
   | Some c -> max 1 c
-  | None -> (
-    match Atomic.get chunk_override with
-    | Some c -> c
-    | None -> (
-      match env_chunk () with
-      | Some c -> c
-      | None -> max 1 (items / (pool.jobs * tasks_per_worker))))
+  | None -> max 1 (items / (pool.jobs * tasks_per_worker))
 
 let chunk_for pool ~items = resolve_chunk pool ~items
 

@@ -129,17 +129,10 @@ val init : t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
     [map_chunked] / [init] batch contiguous index
     blocks of [chunk] items into one pool task, amortising the per-task
     closure, boxing and queue-handoff overhead that made fine-grained
-    stages slower than serial.  The chunk size is resolved, highest
-    priority first, from:
-
-    + an explicit [?chunk] argument at the call site;
-    + {!set_default_chunk} — this is what the [--chunk] command-line
-      flag passes down;
-    + the [VARTUNE_POOL_CHUNK] environment variable (a malformed value
-      raises [Invalid_argument]; the CLI pre-validates and exits 64
-      naming the token);
-    + an automatic size of [max 1 (items / (jobs * 8))], aiming for
-      about eight tasks per worker so scheduling stays balanced.
+    stages slower than serial.  The chunk size is an explicit [?chunk]
+    argument at the call site, else an automatic
+    [max 1 (items / (jobs * 8))], aiming for about eight tasks per
+    worker so scheduling stays balanced.
 
     Chunking is {e granularity only}: items are still applied in
     ascending index order within each block, results come back in input
@@ -155,23 +148,9 @@ val map_chunked : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val chunk_for : t -> items:int -> int
 (** The chunk size a call without [?chunk] would use for [items] items
-    on this pool (override, else environment, else automatic) — exposed
+    on this pool — exposed
     so benchmarks can report the granularity each stage actually ran
     with. *)
-
-val parse_chunk : string -> (int, string) result
-(** Validates a chunk-size token ([VARTUNE_POOL_CHUNK] / [--chunk]
-    syntax): a positive integer.  Zero, negative and non-numeric values
-    are errors naming the offending token. *)
-
-val set_default_chunk : int -> unit
-(** Overrides the process-wide default chunk size (the [--chunk] flag).
-    Raises [Invalid_argument] if the size is not positive.  Call before
-    heavy work starts. *)
-
-val clear_default_chunk : unit -> unit
-(** Removes a {!set_default_chunk} override, restoring environment /
-    automatic resolution.  Mainly for tests. *)
 
 val default : unit -> t
 (** The process-wide shared pool, created on first use with [create ()].

@@ -10,6 +10,7 @@ module Printer = Vartune_liberty.Printer
 module Journal = Vartune_journal.Journal
 module Run = Vartune_flow.Run
 module Request = Vartune_flow.Request
+module Store = Vartune_store.Store
 
 (* The binary is a declared dune dep, built next to this test:
    _build/default/{test/test_cli.exe, bin/vartune.exe}.  Resolve it
@@ -233,6 +234,30 @@ let test_statlib_interrupt_resume () =
     (read_file (Filename.concat rd_ref "report.txt"))
     (read_file (Filename.concat rd "report.txt"))
 
+(* The interrupt/resume cycle with a shared store next to the run's
+   state store: both tiers are probed and written, and the resumed
+   library is still bit-identical to a store-less reference. *)
+let test_statlib_resume_with_store () =
+  let rd = in_temp "run_store" and rd_ref = in_temp "run_store_ref" in
+  let shared = in_temp "shared_store" in
+  let common = [ "-n"; "8"; "--jobs"; "1" ] in
+  check_exit "interrupted run exits 75" 75
+    (vartune
+       ~env:[ ("VARTUNE_STOP_AFTER_BLOCKS", "1"); ("VARTUNE_CKPT_BLOCKS", "1") ]
+       ([ "statlib"; "--store"; shared; "--run-dir"; rd ] @ common));
+  check_exit "resume completes" 0
+    (vartune [ "resume"; rd; "--store"; shared; "--jobs"; "1" ]);
+  check_exit "store-less reference run" 0
+    (vartune ([ "statlib"; "--no-store"; "--run-dir"; rd_ref ] @ common));
+  Alcotest.(check string)
+    "resumed statlib.lib bit-identical to the store-less reference"
+    (read_file (Filename.concat rd_ref "statlib.lib"))
+    (read_file (Filename.concat rd "statlib.lib"));
+  let entries dir = Store.entry_count (Store.open_dir dir) in
+  Alcotest.(check int) "shared store holds the library" 1 (entries shared);
+  Alcotest.(check int) "run state holds checkpoint and library" 2
+    (entries (Filename.concat rd "state"))
+
 (* ------------------------------------------------------------------ *)
 (* Overload drain through the real binary                              *)
 (* ------------------------------------------------------------------ *)
@@ -343,6 +368,8 @@ let () =
       ( "resume",
         [
           Alcotest.test_case "statlib interrupt/resume" `Slow test_statlib_interrupt_resume;
+          Alcotest.test_case "statlib interrupt/resume with store" `Slow
+            test_statlib_resume_with_store;
           Alcotest.test_case "experiment run record" `Slow test_experiment_run_record;
         ] );
       ( "serve",

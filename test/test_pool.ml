@@ -212,44 +212,10 @@ let test_map_chunked_exception () =
         [ 1; 8; 100 ])
 
 let test_chunk_resolution () =
-  let original = Sys.getenv_opt "VARTUNE_POOL_CHUNK" in
-  let set v = Unix.putenv "VARTUNE_POOL_CHUNK" v in
-  Fun.protect
-    ~finally:(fun () ->
-      set (Option.value original ~default:"");
-      Pool.clear_default_chunk ())
-    (fun () ->
-      set "";
-      with_pool 2 (fun pool ->
-          (* automatic: ~8 tasks per worker, floored at 1 *)
-          Alcotest.(check int) "auto" 10 (Pool.chunk_for pool ~items:160);
-          Alcotest.(check int) "auto floor" 1 (Pool.chunk_for pool ~items:5);
-          set "13";
-          Alcotest.(check int) "env honoured" 13 (Pool.chunk_for pool ~items:160);
-          Pool.set_default_chunk 5;
-          Alcotest.(check int) "override beats env" 5 (Pool.chunk_for pool ~items:160);
-          Pool.clear_default_chunk ();
-          Alcotest.(check int) "cleared back to env" 13 (Pool.chunk_for pool ~items:160);
-          set "nonsense";
-          Alcotest.check_raises "malformed env raises"
-            (Invalid_argument
-               "VARTUNE_POOL_CHUNK: bad chunk size \"nonsense\": expected a positive \
-                integer")
-            (fun () -> ignore (Pool.chunk_for pool ~items:160))))
-
-let test_parse_chunk () =
-  (match Pool.parse_chunk " 16 " with
-  | Ok 16 -> ()
-  | _ -> Alcotest.fail "16 accepted");
-  List.iter
-    (fun bad ->
-      match Pool.parse_chunk bad with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail (Printf.sprintf "%S should be rejected" bad))
-    [ "0"; "-3"; "x"; "1.5"; "" ];
-  Alcotest.check_raises "set_default_chunk rejects 0"
-    (Invalid_argument "Pool.set_default_chunk: chunk must be positive (got 0)")
-    (fun () -> Pool.set_default_chunk 0)
+  with_pool 2 (fun pool ->
+      (* automatic: ~8 tasks per worker, floored at 1 *)
+      Alcotest.(check int) "auto" 10 (Pool.chunk_for pool ~items:160);
+      Alcotest.(check int) "auto floor" 1 (Pool.chunk_for pool ~items:5))
 
 let test_env_jobs_precedence () =
   let original = Sys.getenv_opt "VARTUNE_JOBS" in
@@ -289,7 +255,6 @@ let () =
           Alcotest.test_case "map_chunked ordering" `Quick test_map_chunked_matches_map;
           Alcotest.test_case "map_chunked exception" `Quick test_map_chunked_exception;
           Alcotest.test_case "chunk resolution" `Quick test_chunk_resolution;
-          Alcotest.test_case "parse_chunk" `Quick test_parse_chunk;
         ] );
       ( "welford",
         [

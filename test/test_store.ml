@@ -325,6 +325,109 @@ let test_concurrent_writers () =
     [ 1; 2; 7 ]
 
 (* ------------------------------------------------------------------ *)
+(* Tiered fetch                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Two stores in probe order.  [fetch] counts [compute]'s calls so each
+   case can tell a served artifact from a recomputed one. *)
+let with_two_stores f =
+  with_store "fetch_first" (fun first ->
+      with_store "fetch_second" (fun second ->
+          let calls = ref 0 in
+          let fetch ?(compute = fun () -> 41 + !calls) key =
+            Store.fetch [ first; second ] key Codec.r_int
+              (fun v b -> Codec.w_int b v)
+              (fun () ->
+                incr calls;
+                compute ())
+          in
+          f first second fetch calls))
+
+let probes t =
+  let s = Store.stats t in
+  s.Store.hits + s.Store.misses
+
+let test_fetch_miss_writes_all () =
+  with_two_stores (fun first second fetch calls ->
+      let key = Key.(int (v "fetch_probe") "case" 1) in
+      Alcotest.(check (pair int bool)) "computed" (42, false) (fetch key);
+      Alcotest.(check int) "compute ran once" 1 !calls;
+      List.iter
+        (fun (name, t) ->
+          Alcotest.(check (option int)) (name ^ " written") (Some 42)
+            (Store.load t key Codec.r_int))
+        [ ("first", first); ("second", second) ])
+
+let test_fetch_first_hit_skips_second () =
+  with_two_stores (fun first second fetch calls ->
+      let key = Key.(int (v "fetch_probe") "case" 2) in
+      Store.save first key (fun b -> Codec.w_int b 7);
+      Alcotest.(check (pair int bool)) "served by first" (7, true) (fetch key);
+      Alcotest.(check int) "no compute" 0 !calls;
+      Alcotest.(check int) "second never probed" 0 (probes second))
+
+let test_fetch_second_hit_not_written_back () =
+  with_two_stores (fun first second fetch calls ->
+      let key = Key.(int (v "fetch_probe") "case" 3) in
+      Store.save second key (fun b -> Codec.w_int b 9);
+      Alcotest.(check (pair int bool)) "served by second" (9, true) (fetch key);
+      Alcotest.(check int) "no compute" 0 !calls;
+      Alcotest.(check int) "first not written" 0 (Store.stats first).Store.writes;
+      Alcotest.(check int) "first still empty" 0 (Store.entry_count first))
+
+let test_fetch_corrupt_first_falls_through () =
+  with_two_stores (fun first second fetch calls ->
+      let key = Key.(int (v "fetch_probe") "case" 4) in
+      Store.save first key (fun b -> Codec.w_int b 5);
+      Store.save second key (fun b -> Codec.w_int b 5);
+      let path = Store.entry_path first key in
+      let original = read_file path in
+      write_file path (String.sub original 0 (String.length original - 3));
+      Alcotest.(check (pair int bool)) "served by second" (5, true) (fetch key);
+      Alcotest.(check int) "no compute" 0 !calls;
+      Alcotest.(check int) "corrupt entry evicted" 1 (Store.stats first).Store.evictions;
+      Alcotest.(check bool) "evicted file gone" false (Sys.file_exists path))
+
+exception Compute_died
+
+let test_fetch_compute_raises () =
+  with_two_stores (fun first second fetch _ ->
+      let key = Key.(int (v "fetch_probe") "case" 5) in
+      (match fetch ~compute:(fun () -> raise Compute_died) key with
+      | _ -> Alcotest.fail "compute exception must propagate"
+      | exception Compute_died -> ());
+      Alcotest.(check int) "first not written" 0 (Store.entry_count first);
+      Alcotest.(check int) "second not written" 0 (Store.entry_count second))
+
+(* A stored library whose cell count contradicts the specs in its key
+   passed the checksum but is logically corrupt: it must be evicted and
+   recomputed, never served. *)
+let test_nominal_rejects_wrong_cell_count () =
+  with_store "nominal_cells" (fun t ->
+      let config = Characterize.default_config in
+      let specs = Helpers.small_specs in
+      let key =
+        Characterize.add_specs_to_key
+          (Characterize.add_config_to_key (Key.v "nominal") config)
+          specs
+      in
+      let short = Characterize.library config (List.tl specs) in
+      Store.save t key (fun b -> Codec.w_library b short);
+      let reference = encode Codec.w_library (Characterize.nominal ~specs config) in
+      let lib = Characterize.nominal ~specs ~store:t config in
+      Alcotest.(check int) "expected cell count"
+        (Characterize.expected_cells specs)
+        (Vartune_liberty.Library.size lib);
+      Alcotest.(check string) "bit-identical to a store-less run" reference
+        (encode Codec.w_library lib);
+      Alcotest.(check int) "bad entry evicted" 1 (Store.stats t).Store.evictions;
+      match Store.load t key Codec.r_library with
+      | Some stored ->
+        Alcotest.(check string) "entry now holds the correct library" reference
+          (encode Codec.w_library stored)
+      | None -> Alcotest.fail "recomputed library was not saved")
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: cold, warm and store-less runs are bit-identical        *)
 (* ------------------------------------------------------------------ *)
 
@@ -404,6 +507,21 @@ let () =
         ] );
       ( "concurrency",
         [ Alcotest.test_case "writers at 1/2/7" `Quick test_concurrent_writers ] );
+      ( "fetch",
+        [
+          Alcotest.test_case "miss computes and writes all" `Quick
+            test_fetch_miss_writes_all;
+          Alcotest.test_case "first hit skips second" `Quick
+            test_fetch_first_hit_skips_second;
+          Alcotest.test_case "second hit not written back" `Quick
+            test_fetch_second_hit_not_written_back;
+          Alcotest.test_case "corrupt first falls through" `Quick
+            test_fetch_corrupt_first_falls_through;
+          Alcotest.test_case "compute raises, nothing saved" `Quick
+            test_fetch_compute_raises;
+          Alcotest.test_case "nominal rejects wrong cell count" `Quick
+            test_nominal_rejects_wrong_cell_count;
+        ] );
       ( "flow",
         [
           Alcotest.test_case "cold/warm/no-store identical" `Slow
