@@ -1,6 +1,6 @@
 (** Plain-text rendering of tables and figures.
 
-    Every experiment prints through these helpers so the bench output
+    Every experiment prints through these helpers so [vartune figures]
     reads like the paper's tables/figures, with paper-reported values
     alongside measured ones where applicable. *)
 

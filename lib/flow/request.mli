@@ -1,7 +1,7 @@
 (** The single typed request vocabulary of the flow layer.
 
     Every way of asking vartune for work — the CLI subcommands, the
-    [vartune serve] daemon, the bench harness — constructs a {!t} and
+    [vartune serve] daemon, perfbench — constructs a {!t} and
     hands it to {!Run_request.exec}, so batch and served execution are
     bit-identical by construction.
 

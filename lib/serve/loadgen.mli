@@ -38,8 +38,8 @@ val default_mix : seed:int -> samples:int -> Vartune_flow.Request.t list
 val run : config -> result
 
 val result_to_json : result -> string
-(** One-line JSON with the BENCH_serve.json field vocabulary
-    (throughput, latency quantiles, dedup hit rate). *)
+(** One-line JSON: request counts ([requests], [ok], [failed]),
+    throughput, latency quantiles and the dedup hit rate. *)
 
 val dedup_hit_rate : result -> float
 (** [dedup_hits / sent], 0 when nothing was sent. *)
@@ -52,7 +52,7 @@ val dedup_hit_rate : result -> float
     coalesce them — through the client's retry/backoff loop, and
     accounts per class: admitted-latency quantiles, sheds that
     survived every retry, deadline drops, and retries absorbed.  The
-    assertion the overload bench makes is that p99 of {e admitted}
+    contract an overload run checks is that p99 of {e admitted}
     interactive requests stays bounded while batch overload is shed,
     not absorbed. *)
 
@@ -89,4 +89,7 @@ type overload_result = {
 val run_overload : overload_config -> overload_result
 
 val overload_result_to_json : overload_result -> string
-(** One-line JSON with the BENCH_overload.json field vocabulary. *)
+(** One-line JSON: per-class [interactive]/[batch] stats ([sent],
+    [ok], [shed], [deadline_dropped], [failed], [retries] and latency
+    quantiles), plus [elapsed_s], [replies], [code70] and total
+    [sheds]. *)

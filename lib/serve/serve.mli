@@ -73,7 +73,7 @@ type handle
 
 val start : config -> handle
 (** Binds the socket and serves on background threads — the in-process
-    form used by tests and the bench harness.  Raises [Failure] if a
+    form used by tests and perfbench.  Raises [Failure] if a
     live daemon already owns the socket, [Sys_error] when the probe of
     an existing socket file fails unexpectedly (exit 74 through the CLI
     guard), [Unix.Unix_error] on other bind failures. *)

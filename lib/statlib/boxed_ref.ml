@@ -3,8 +3,8 @@
    [Statistical] now accumulates into flat SoA float arrays through
    [Vartune_util.Kernel]; this module keeps the original per-entry
    Grid.get/set implementation alive as an executable specification.
-   Tests assert bit-identical output between the two paths, and bench
-   Part 7 times both to attribute the flattening win.  Nothing in the
+   Tests assert bit-identical output between the two paths, and
+   bench/main.exe times both to attribute the flattening win.  Nothing in the
    pipeline calls this module. *)
 
 module Grid = Vartune_util.Grid

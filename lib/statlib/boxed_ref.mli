@@ -4,7 +4,7 @@
     the numeric core was flattened onto [Vartune_util.Kernel] float
     arrays.  It exists so tests can assert bit-identical agreement
     between the flat path and this executable specification, and so
-    bench Part 7 can report the flat/boxed speedup on the same machine
+    bench/main.exe can report the flat/boxed speedup on the same machine
     in the same run.  Not used by the pipeline. *)
 
 val of_stream :

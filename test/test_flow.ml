@@ -152,6 +152,48 @@ let test_sweep_pool_invariant () =
       Helpers.check_float ~eps:0.0 "area delta" s.Experiment.area_delta p.Experiment.area_delta)
     serial parallel
 
+(* Exact pool dispatch per chunked stage at jobs=2.  The task counts
+   follow from the item counts and the automatic chunk size alone, so
+   they are the same on any host; a stage that went back to one task
+   per item (or per sample) fails here even where a timing gate could
+   not see it. *)
+let test_dispatch_counts () =
+  let module Obs = Vartune_obs.Obs in
+  let setup = Lazy.force tiny_setup in
+  let path =
+    let paths = (Experiment.baseline setup ~period:setup.Experiment.min_period).Experiment.paths in
+    List.nth paths (List.length paths / 2)
+  in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let pool = Pool.create ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown pool;
+      Obs.set_enabled was_enabled)
+  @@ fun () ->
+  let enqueued name expected f =
+    let before = Obs.counter_value "pool.tasks_enqueued" in
+    ignore (f ());
+    Alcotest.(check int) name expected (Obs.counter_value "pool.tasks_enqueued" - before)
+  in
+  (* one task per Welford block of 4 samples *)
+  enqueued "statlib build, n=16" 4 (fun () ->
+      Vartune_statlib.Statistical.build ~pool Vartune_charlib.Characterize.default_config
+        ~mismatch:Vartune_process.Mismatch.default ~seed:42 ~n:16 ());
+  let tuning =
+    { Vartune_tuning.Tuning_method.population = Vartune_tuning.Cluster.Per_cell;
+      criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02 }
+  in
+  enqueued "sweep, 6 parameters" 6 (fun () ->
+      Experiment.sweep ~pool (Experiment.fresh_memo setup)
+        ~period:(setup.Experiment.min_period *. 1.5) ~tuning
+        ~parameters:[ 0.005; 0.01; 0.02; 0.03; 0.05; 0.08 ]);
+  (* chunks of 1250 samples *)
+  enqueued "path MC, n=20000" 16 (fun () ->
+      Vartune_monte.Path_mc.simulate ~pool { Vartune_monte.Path_mc.default_config with n = 20_000 }
+        ~seed:7 path)
+
 (* ------------------- failure → exit-code mapping ------------------- *)
 
 (* The CLI's sysexits vocabulary is load-bearing for CI and operators;
@@ -203,6 +245,7 @@ let () =
           Alcotest.test_case "design fingerprint" `Quick test_fingerprint_distinguishes_designs;
           Alcotest.test_case "cache scoped to setup" `Slow test_cache_scoped_to_setup;
           Alcotest.test_case "sweep pool invariant" `Slow test_sweep_pool_invariant;
+          Alcotest.test_case "dispatch counts at jobs=2" `Slow test_dispatch_counts;
         ] );
       ("failures", [ Alcotest.test_case "exit codes" `Quick test_exit_codes ]);
     ]

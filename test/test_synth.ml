@@ -378,6 +378,33 @@ let test_min_period_bisection () =
   let r = Synthesis.run (Constraints.make ~clock_period:p ~area_recovery:false ()) lib (small_design ()) in
   Alcotest.(check bool) "feasible at min period" true r.Synthesis.feasible
 
+(* The paper's min-period search on the microcontroller, run with full
+   re-analysis per sizing move and with incremental cone retiming.  The
+   two must land on the bit-identical period, and the STA work counters
+   are pinned exactly: they are fixed by the design and the algorithm,
+   so any drift is a behaviour change, on any host. *)
+let test_min_period_sta_counters () =
+  let lib = Lazy.force full_lib in
+  let ir = Vartune_rtl.Microcontroller.generate () in
+  let module Obs = Vartune_obs.Obs in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+  let check_search label ~incremental expected =
+    let before = List.map (fun (name, _) -> Obs.counter_value name) expected in
+    let period = Synthesis.min_period ~incremental lib ir in
+    (* 4.099121094 ns, compared bit for bit *)
+    Alcotest.(check string) (label ^ ": period") "0x1.0658p+2" (Printf.sprintf "%h" period);
+    List.iter2
+      (fun (name, want) b ->
+        Alcotest.(check int) (label ^ ": " ^ name) want (Obs.counter_value name - b))
+      expected before
+  in
+  check_search "full" ~incremental:false
+    [ ("sta.node_evals", 3453519); ("sta.runs", 388); ("sta.retimes", 0) ];
+  check_search "incremental" ~incremental:true
+    [ ("sta.node_evals", 2570814); ("sta.runs", 243); ("sta.retimes", 145) ]
+
 let () =
   Alcotest.run "synth"
     [
@@ -418,5 +445,6 @@ let () =
           Alcotest.test_case "incremental = full sizing" `Quick
             test_incremental_sizing_identical;
           Alcotest.test_case "min period bisection" `Slow test_min_period_bisection;
+          Alcotest.test_case "mcu min period STA counters" `Slow test_min_period_sta_counters;
         ] );
     ]
