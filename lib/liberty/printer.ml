@@ -1,101 +1,99 @@
-(* Shortest decimal representation that round-trips the float exactly —
-   the shared repository convention. *)
-let float_repr = Vartune_util.Floatfmt.repr
+(* Appends the whole library to one Buffer with explicit indentation.
+   Floats use the shared round-trip convention (Floatfmt). *)
+let add_float = Vartune_util.Floatfmt.add_buffer
 
-let pp_axis ppf axis =
-  let parts = Array.to_list (Array.map (float_repr) axis) in
-  Format.fprintf ppf "\"%s\"" (String.concat ", " parts)
+(* Starts a new line indented by [ind] spaces and writes [s]. *)
+let line b ind s =
+  Buffer.add_char b '\n';
+  for _ = 1 to ind do Buffer.add_char b ' ' done;
+  Buffer.add_string b s
 
-let pp_table ppf name lut =
-  Format.fprintf ppf "@[<v 2>%s() {@," name;
-  Format.fprintf ppf "index_1(%a);@," pp_axis (Lut.slews lut);
-  Format.fprintf ppf "index_2(%a);@," pp_axis (Lut.loads lut);
-  let rows, cols = Lut.dims lut in
-  Format.fprintf ppf "@[<v 2>values(";
-  for i = 0 to rows - 1 do
-    if i > 0 then Format.fprintf ppf ",@,";
-    let cells = List.init cols (fun j -> float_repr (Lut.get lut i j)) in
-    Format.fprintf ppf "\"%s\"" (String.concat ", " cells)
+(* ["x0, x1, ..."] with the quotes. *)
+let add_row b n get =
+  Buffer.add_char b '"';
+  for j = 0 to n - 1 do
+    if j > 0 then Buffer.add_string b ", ";
+    add_float b (get j)
   done;
-  Format.fprintf ppf ");@]";
-  Format.fprintf ppf "@]@,}"
+  Buffer.add_char b '"'
 
-let pp_arc ppf (arc : Arc.t) =
-  Format.fprintf ppf "@[<v 2>timing() {@,";
-  Format.fprintf ppf "related_pin : \"%s\";@," arc.related_pin;
-  Format.fprintf ppf "timing_sense : %s;@," (Arc.sense_to_string arc.sense);
-  pp_table ppf "cell_rise" arc.rise_delay;
-  Format.pp_print_cut ppf ();
-  pp_table ppf "cell_fall" arc.fall_delay;
-  Format.pp_print_cut ppf ();
-  pp_table ppf "rise_transition" arc.rise_transition;
-  Format.pp_print_cut ppf ();
-  pp_table ppf "fall_transition" arc.fall_transition;
-  Option.iter
-    (fun lut ->
-      Format.pp_print_cut ppf ();
-      pp_table ppf "cell_rise_sigma" lut)
-    arc.rise_delay_sigma;
-  Option.iter
-    (fun lut ->
-      Format.pp_print_cut ppf ();
-      pp_table ppf "cell_fall_sigma" lut)
-    arc.fall_delay_sigma;
-  Option.iter
-    (fun lut ->
-      Format.pp_print_cut ppf ();
-      pp_table ppf "internal_power" lut)
-    arc.internal_power;
-  Format.fprintf ppf "@]@,}"
+let add_axis b axis = add_row b (Array.length axis) (Array.get axis)
 
-let pp_pin ppf (pin : Pin.t) =
-  Format.fprintf ppf "@[<v 2>pin(%s) {@," pin.name;
-  Format.fprintf ppf "direction : %s;" (Pin.direction_to_string pin.direction);
+let add_table b ind name lut =
+  line b ind name;
+  Buffer.add_string b "() {";
+  line b (ind + 2) "index_1(";
+  add_axis b (Lut.slews lut);
+  Buffer.add_string b ");";
+  line b (ind + 2) "index_2(";
+  add_axis b (Lut.loads lut);
+  Buffer.add_string b ");";
+  line b (ind + 2) "values(";
+  let rows, cols = Lut.dims lut in
+  for i = 0 to rows - 1 do
+    if i > 0 then (Buffer.add_char b ','; line b (ind + 4) "");
+    add_row b cols (Lut.get lut i)
+  done;
+  Buffer.add_string b ");";
+  line b ind "}"
+
+(* [key : x;] on a new line. *)
+let num b ind key x =
+  line b ind key;
+  Buffer.add_string b " : ";
+  add_float b x;
+  Buffer.add_char b ';'
+
+let add_arc b ind (arc : Arc.t) =
+  line b ind "timing() {";
+  line b (ind + 2) (Printf.sprintf "related_pin : \"%s\";" arc.related_pin);
+  line b (ind + 2) ("timing_sense : " ^ Arc.sense_to_string arc.sense ^ ";");
+  let table name lut = add_table b (ind + 2) name lut in
+  table "cell_rise" arc.rise_delay;
+  table "cell_fall" arc.fall_delay;
+  table "rise_transition" arc.rise_transition;
+  table "fall_transition" arc.fall_transition;
+  Option.iter (table "cell_rise_sigma") arc.rise_delay_sigma;
+  Option.iter (table "cell_fall_sigma") arc.fall_delay_sigma;
+  Option.iter (table "internal_power") arc.internal_power;
+  line b ind "}"
+
+let add_pin b ind (pin : Pin.t) =
+  line b ind (Printf.sprintf "pin(%s) {" pin.name);
+  line b (ind + 2) ("direction : " ^ Pin.direction_to_string pin.direction ^ ";");
   (match pin.direction with
-  | Pin.Input -> Format.fprintf ppf "@,capacitance : %s;" (float_repr pin.capacitance)
+  | Pin.Input -> num b (ind + 2) "capacitance" pin.capacitance
   | Pin.Output ->
-    Option.iter (fun m -> Format.fprintf ppf "@,max_capacitance : %s;" (float_repr m)) pin.max_capacitance;
-    List.iter
-      (fun arc ->
-        Format.pp_print_cut ppf ();
-        pp_arc ppf arc)
-      pin.arcs);
-  Format.fprintf ppf "@]@,}"
+    Option.iter (num b (ind + 2) "max_capacitance") pin.max_capacitance;
+    List.iter (add_arc b (ind + 2)) pin.arcs);
+  line b ind "}"
 
-let pp_cell ppf (cell : Cell.t) =
-  Format.fprintf ppf "@[<v 2>cell(%s) {@," cell.name;
-  Format.fprintf ppf "family : \"%s\";@," cell.family;
-  Format.fprintf ppf "drive_strength : %d;@," cell.drive_strength;
-  Format.fprintf ppf "kind : \"%s\";@," (Cell.kind_to_string cell.kind);
-  Format.fprintf ppf "area : %s;@," (float_repr cell.area);
-  Format.fprintf ppf "cell_leakage_power : %s;" (float_repr cell.leakage);
+let add_cell b ind (cell : Cell.t) =
+  let num = num b (ind + 2) in
+  line b ind (Printf.sprintf "cell(%s) {" cell.name);
+  line b (ind + 2) (Printf.sprintf "family : \"%s\";" cell.family);
+  line b (ind + 2) (Printf.sprintf "drive_strength : %d;" cell.drive_strength);
+  line b (ind + 2) (Printf.sprintf "kind : \"%s\";" (Cell.kind_to_string cell.kind));
+  num "area" cell.area;
+  num "cell_leakage_power" cell.leakage;
   if Cell.is_sequential cell then begin
-    Format.fprintf ppf "@,setup_time : %s;" (float_repr cell.setup_time);
-    Format.fprintf ppf "@,hold_time : %s;" (float_repr cell.hold_time);
-    Option.iter (fun p -> Format.fprintf ppf "@,clock_pin : \"%s\";" p) cell.clock_pin
+    num "setup_time" cell.setup_time;
+    num "hold_time" cell.hold_time;
+    Option.iter (fun p -> line b (ind + 2) (Printf.sprintf "clock_pin : \"%s\";" p)) cell.clock_pin
   end;
-  List.iter
-    (fun pin ->
-      Format.pp_print_cut ppf ();
-      pp_pin ppf pin)
-    cell.pins;
-  Format.fprintf ppf "@]@,}"
+  List.iter (add_pin b (ind + 2)) cell.pins;
+  line b ind "}"
 
-let pp_library ppf lib =
-  Format.fprintf ppf "@[<v 2>library(%s) {@," (Library.name lib);
-  Format.fprintf ppf "corner : \"%s\";" (Library.corner lib);
-  List.iter
-    (fun cell ->
-      Format.pp_print_cut ppf ();
-      pp_cell ppf cell)
-    (Library.cells lib);
-  Format.fprintf ppf "@]@,}@."
+let render lib =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (Printf.sprintf "library(%s) {" (Library.name lib));
+  line b 2 (Printf.sprintf "corner : \"%s\";" (Library.corner lib));
+  List.iter (add_cell b 2) (Library.cells lib);
+  line b 0 "}\n";
+  b
 
-let to_string lib = Format.asprintf "%a" pp_library lib
+let to_string lib = Buffer.contents (render lib)
 
 let write_file path lib =
-  let oc = open_out_bin path in
-  let ppf = Format.formatter_of_out_channel oc in
-  pp_library ppf lib;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  let b = render lib in
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b)

@@ -1,8 +1,6 @@
 (** Serialiser for the liberty-like text format; inverse of {!Parser}. *)
 
-val pp_library : Format.formatter -> Library.t -> unit
-
 val to_string : Library.t -> string
 
 val write_file : string -> Library.t -> unit
-(** Writes the library to the given path. *)
+(** Writes exactly the {!to_string} bytes to the given path. *)

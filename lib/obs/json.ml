@@ -10,37 +10,70 @@ exception Fail of int * string
 
 let fail pos msg = raise (Fail (pos, msg))
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* The code unit of the [\uXXXX] escape whose backslash is at [i]:
+   exactly four hex digits. *)
+let u_escape s i =
+  if i + 6 > String.length s then fail i "truncated \\u escape";
+  let d k = hex_digit s.[i + 2 + k] in
+  let a = d 0 and b = d 1 and c = d 2 and e = d 3 in
+  if a < 0 || b < 0 || c < 0 || e < 0 then fail i "bad \\u escape";
+  (a lsl 12) lor (b lsl 8) lor (c lsl 4) lor e
+
+(* Decodes the [\u] escape at [i] into [buf] as UTF-8, a surrogate pair
+   as one code point; the index after it. *)
+let add_u_escape buf s i =
+  let code = u_escape s i in
+  let code, next =
+    if code >= 0xDC00 && code <= 0xDFFF then fail i "lone low surrogate"
+    else if code < 0xD800 || code > 0xDBFF then (code, i + 6)
+    else if i + 7 < String.length s && s.[i + 6] = '\\' && s.[i + 7] = 'u' then
+      let low = u_escape s (i + 6) in
+      if low < 0xDC00 || low > 0xDFFF then fail i "lone high surrogate"
+      else (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00), i + 12)
+    else fail i "lone high surrogate"
+  in
+  Buffer.add_utf_8_uchar buf (Uchar.of_int code);
+  next
+
+(* Runs of bytes between escapes are blitted whole. *)
 let parse_string_body s pos =
   let buf = Buffer.create 16 in
   let n = String.length s in
-  let rec go i =
+  let rec go start i =
     if i >= n then fail i "unterminated string"
     else
-      match s.[i] with
-      | '"' -> (Buffer.contents buf, i + 1)
+      match String.unsafe_get s i with
+      | '"' ->
+        Buffer.add_substring buf s start (i - start);
+        (Buffer.contents buf, i + 1)
       | '\\' ->
-        if i + 1 >= n then fail i "dangling escape"
-        else (
-          (match s.[i + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if i + 5 >= n then fail i "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s (i + 2) 4) in
-            (* BMP only; good enough for ASCII telemetry output *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
-          | c -> fail i (Printf.sprintf "bad escape \\%c" c));
-          if s.[i + 1] = 'u' then go (i + 6) else go (i + 2))
-      | c -> Buffer.add_char buf c; go (i + 1)
+        Buffer.add_substring buf s start (i - start);
+        if i + 1 >= n then fail i "dangling escape";
+        let next =
+          match s.[i + 1] with
+          | 'u' -> add_u_escape buf s i
+          | c ->
+            Buffer.add_char buf
+              (match c with
+              | '"' | '\\' | '/' -> c
+              | 'b' -> '\b'
+              | 'f' -> '\012'
+              | 'n' -> '\n'
+              | 'r' -> '\r'
+              | 't' -> '\t'
+              | c -> fail i (Printf.sprintf "bad escape \\%c" c));
+            i + 2
+        in
+        go next next
+      | _ -> go start (i + 1)
   in
-  go pos
+  go pos pos
 
 let parse src =
   let n = String.length src in
@@ -128,25 +161,30 @@ let float_string v =
     let s = Printf.sprintf "%.15g" v in
     if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Appends [s] as a JSON string literal, quotes included; runs of bytes
+   that need no escape are blitted whole. *)
+let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
+      Buffer.add_string buf
+        (match c with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | '\b' -> "\\b"
+        | '\012' -> "\\f"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
+  Buffer.add_char buf '"'
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -154,7 +192,7 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Number f -> Buffer.add_string buf (float_string f)
-    | String s -> Buffer.add_string buf (escape_string s)
+    | String s -> add_escaped buf s
     | Array l ->
       Buffer.add_char buf '[';
       List.iteri (fun i v -> if i > 0 then Buffer.add_char buf ','; go v) l;
@@ -164,7 +202,7 @@ let to_string v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (escape_string k);
+          add_escaped buf k;
           Buffer.add_char buf ':';
           go v)
         kvs;

@@ -14,7 +14,9 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parses a complete JSON document; the error string carries a byte
-    offset. *)
+    offset.  A [\uXXXX] escape takes exactly four hex digits and
+    decodes to UTF-8, a surrogate pair to one code point; a lone
+    surrogate is an error. *)
 
 val member : string -> t -> t option
 (** [member key (Object _)] looks up [key]; [None] on missing key or
@@ -31,11 +33,9 @@ val float_string : float -> string
     values render as [null] tokens are not representable in JSON, so
     [nan]/[inf] map to ["null"]. *)
 
-val escape_string : string -> string
-(** JSON string escaping (quotes included) for the ASCII control set;
-    bytes >= 0x80 are passed through verbatim (UTF-8 assumed). *)
-
 val to_string : t -> string
-(** Compact one-line serialization.  [parse (to_string v)] yields a
+(** Compact one-line serialization.  Strings escape the quote, the
+    backslash and the ASCII control set; bytes >= 0x80 pass through
+    verbatim (UTF-8 assumed).  [parse (to_string v)] yields a
     value structurally equal to [v] (object key order preserved,
     finite floats bit-exact). *)

@@ -465,6 +465,38 @@ let test_roundtrip_random_values =
       let a' = List.hd (Cell.arcs c') in
       c'.Cell.area = cell.Cell.area && Lut.equal ~eps:0.0 a'.Arc.rise_delay lut)
 
+(* ----------------------------- Printer ------------------------------ *)
+
+(* md5 of [Printer.to_string] for two full-catalog libraries, recorded
+   from the Format-based printer this one replaced: any byte the printer
+   or the float formatter changes fails here, not only in the benchmark's
+   digests. *)
+let golden_libraries =
+  let config = Vartune_charlib.Characterize.default_config in
+  [
+    ("nominal", "43e1e24000eba9bc0dc52b3e0c9dc0a3",
+     lazy (Vartune_charlib.Characterize.nominal config));
+    ("statistical seed 1 n 4", "80df2456dac43212e94ed193b9905e67",
+     lazy
+       (Vartune_statlib.Statistical.build config
+          ~mismatch:Vartune_process.Mismatch.default ~seed:1 ~n:4 ()));
+  ]
+
+let test_printer_golden_bytes () =
+  List.iter
+    (fun (name, md5, lib) ->
+      let lib = Lazy.force lib in
+      let text = Printer.to_string lib in
+      Alcotest.(check string) (name ^ " md5") md5 (Digest.to_hex (Digest.string text));
+      let path = Filename.temp_file "vartune_golden" ".lib" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Printer.write_file path lib;
+          Alcotest.(check bool) (name ^ ": write_file writes the to_string bytes") true
+            (In_channel.with_open_bin path In_channel.input_all = text)))
+    golden_libraries
+
 let () =
   Alcotest.run "liberty"
     [
@@ -517,4 +549,6 @@ let () =
           Alcotest.test_case "power roundtrip" `Quick test_roundtrip_power_and_leakage;
           test_roundtrip_random_values;
         ] );
+      ( "printer",
+        [ Alcotest.test_case "golden bytes" `Quick test_printer_golden_bytes ] );
     ]

@@ -310,7 +310,34 @@ let test_json_parser_basics () =
       match Json.parse bad with
       | Ok _ -> Alcotest.failf "%S should not parse" bad
       | Error _ -> ())
-    [ "{"; "[1,"; {|{"a" 1}|}; "tru"; ""; "1 2" ]
+    [ "{"; "[1,"; {|{"a" 1}|}; "tru"; ""; "1 2" ];
+  (* \u escapes: exactly four hex digits, decoded to UTF-8 with surrogate
+     pairs combined; anything else is an error that names its byte *)
+  let str s = Json.to_string_opt (ok s) in
+  Alcotest.(check (option string)) "ASCII \\u" (Some "A") (str {|"\u0041"|});
+  Alcotest.(check (option string)) "U+00E9 as UTF-8" (Some "\xc3\xa9") (str {|"\u00e9"|});
+  Alcotest.(check (option string)) "U+20AC as UTF-8" (Some "\xe2\x82\xac") (str {|"\u20AC"|});
+  Alcotest.(check (option string))
+    "surrogate pair as one code point" (Some "a\xf0\x9f\x98\x80b") (str {|"a\ud83d\ude00b"|});
+  List.iter
+    (fun (bad, msg) ->
+      match Json.parse bad with
+      | Ok _ -> Alcotest.failf "%S should not parse" bad
+      | Error e ->
+        Alcotest.(check string) (Printf.sprintf "error for %S" bad) msg e)
+    [
+      ({|"\u1_2_"|}, "bad \\u escape at byte 1");
+      ({|"\uZZZZ"|}, "bad \\u escape at byte 1");
+      ({|"x\u12"|}, "truncated \\u escape at byte 2");
+      ({|"\ud83d"|}, "lone high surrogate at byte 1");
+      ({|"\ud83dx"|}, "lone high surrogate at byte 1");
+      ({|"\ud83d\u0041"|}, "lone high surrogate at byte 1");
+      ({|"\ude00"|}, "lone low surrogate at byte 1");
+    ];
+  (* every byte survives the codec, escapes and runs alike *)
+  let all = String.init 256 Char.chr ^ {|"\"|} ^ "tail" in
+  Alcotest.(check (option string)) "escape/parse round trip" (Some all)
+    (str (Json.to_string (Json.String all)))
 
 (* ------------------------------------------------------------------ *)
 (* Bit-identity: telemetry on/off, any pool size                       *)

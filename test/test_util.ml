@@ -1,10 +1,11 @@
-(* Tests for Vartune_util: Rng, Stat, Grid, Vec. *)
+(* Tests for Vartune_util: Rng, Stat, Grid, Vec, Floatfmt. *)
 
 module Rng = Vartune_util.Rng
 module Stat = Vartune_util.Stat
 module Grid = Vartune_util.Grid
 module Vec = Vartune_util.Vec
 module Pool = Vartune_util.Pool
+module Floatfmt = Vartune_util.Floatfmt
 
 let check_float = Helpers.check_float
 
@@ -348,6 +349,97 @@ let test_stall_env_rejected () =
       Alcotest.(check int) "empty value means unset" 1 (Pool.jobs pool);
       Pool.shutdown pool)
 
+(* ----------------------------- Floatfmt ----------------------------- *)
+
+(* The rule Floatfmt implements, written out with libc: %.12g when it
+   parses back to the same float, else %.17g.  Deliberately shares no
+   code with lib/, so it is an independent oracle. *)
+let sprintf_rule f =
+  let short = Printf.sprintf "%.12g" f in
+  if float_of_string short = f then short else Printf.sprintf "%.17g" f
+
+let rec ipow10 k = if k = 0 then 1 else 10 * ipow10 (k - 1)
+
+(* The float nearest the decimal [m]e[e] and its two neighbours: the
+   neighbours of 12- and 17-digit decimals sit right at the tail bound
+   that decides between the two renderings, and those of powers of ten
+   at the digit carry. *)
+let decimal_neighbour_gen =
+  QCheck2.Gen.(
+    let* digits = oneofl [ 1; 12; 17 ] in
+    let* m = int_range (ipow10 (digits - 1)) (ipow10 digits - 1) in
+    let* e = int_range (-30) 30 in
+    let x = float_of_string (Printf.sprintf "%de%d" m e) in
+    oneofl [ x; Float.pred x; Float.succ x ])
+
+(* Exact halfway cases: u * 2^-(k+1) with u odd, so that scaled by 10^k
+   it ends in exactly .5 — a tie at the 17th digit when it lands in
+   [1e16, 1e17), and short dyadics whose ties sit at earlier digits. *)
+let tie_gen =
+  QCheck2.Gen.(
+    let* short = bool in
+    if short then
+      let* v = int_range 0 (1 lsl 20) in
+      let* s = int_range 1 40 in
+      return (Float.ldexp (Float.of_int ((2 * v) + 1)) (-s))
+    else
+      let* k = int_range 2 22 in
+      let lo = 2e16 /. (5.0 ** Float.of_int k) in
+      let* u = int_range (int_of_float lo) (int_of_float (10.0 *. lo)) in
+      return (Float.ldexp (Float.of_int (u lor 1)) (-(k + 1))))
+
+let special_gen =
+  QCheck2.Gen.oneofl
+    [ 0.0; -0.0; infinity; neg_infinity; nan; max_float; -.max_float; min_float;
+      Float.pred min_float; Float.succ 0.0; 4.9e-324; 1e-310; -2.5e-320; 1e16; 1e17;
+      Float.pred 1e17; 1e-6; Float.pred 1e-6; 0.1; 0.5; 2.5; 1e22; 1e23 ]
+
+let floatfmt_gen =
+  QCheck2.Gen.(
+    let* sign = oneofl [ 1.0; -1.0 ] in
+    let* x =
+      frequency
+        [
+          (3, map Int64.float_of_bits int64);
+          (3, map (fun l -> 10.0 ** l) (float_range (-8.0) 18.0));
+          (4, decimal_neighbour_gen);
+          (2, tie_gen);
+          (1, special_gen);
+        ]
+    in
+    return (sign *. x))
+
+let test_floatfmt_matches_sprintf =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100_000 ~long_factor:100 ~print:(Printf.sprintf "%h")
+       ~name:"repr = sprintf rule; add_buffer = repr" floatfmt_gen (fun f ->
+         let expected = sprintf_rule f in
+         let buf = Buffer.create 8 in
+         Buffer.add_string buf "x=";
+         Floatfmt.add_buffer buf f;
+         let got = Floatfmt.repr f in
+         if got <> expected then QCheck2.Test.fail_reportf "repr %S, sprintf rule %S" got expected;
+         Buffer.contents buf = "x=" ^ got))
+
+(* Every float within a few ulps of a power of ten, where a 17- or
+   12-digit rounding could carry into the next decade. *)
+let test_floatfmt_powers_of_ten () =
+  for k = -12 to 24 do
+    let x = float_of_string (Printf.sprintf "1e%d" k) in
+    let near = ref [ x ] in
+    let lo = ref x and hi = ref x in
+    for _ = 1 to 16 do
+      lo := Float.pred !lo;
+      hi := Float.succ !hi;
+      near := !lo :: !hi :: !near
+    done;
+    List.iter
+      (fun f ->
+        Alcotest.(check string) (Printf.sprintf "%h" f) (sprintf_rule f) (Floatfmt.repr f);
+        Alcotest.(check string) (Printf.sprintf "%h" (-.f)) (sprintf_rule (-.f)) (Floatfmt.repr (-.f)))
+      !near
+  done
+
 let () =
   Alcotest.run "util"
     [
@@ -410,5 +502,10 @@ let () =
         [
           Alcotest.test_case "parse_stall_timeout" `Quick test_parse_stall_timeout;
           Alcotest.test_case "malformed env rejected" `Quick test_stall_env_rejected;
+        ] );
+      ( "floatfmt",
+        [
+          test_floatfmt_matches_sprintf;
+          Alcotest.test_case "powers of ten and neighbours" `Quick test_floatfmt_powers_of_ten;
         ] );
     ]
