@@ -133,6 +133,8 @@ module Store_log = (val Logs.src_log store_log_src : Logs.LOG)
 let expected_cells specs =
   List.fold_left (fun acc (s : Spec.t) -> acc + List.length s.drives) 0 specs
 
+let library_kind : Library.t Store.kind = Store.kind ()
+
 let decode_library ~what ~specs r =
   let lib = Codec.r_library r in
   let expected = expected_cells specs in
@@ -173,7 +175,7 @@ let add_specs_to_key key specs =
 let nominal ?(specs = Vartune_stdcell.Catalog.specs) ?store config =
   let key = add_specs_to_key (add_config_to_key (Store.Key.v "nominal") config) specs in
   fst
-    (Store.fetch (Option.to_list store) key
+    (Store.fetch ~kind:library_kind (Option.to_list store) key
        (decode_library ~what:"nominal" ~specs)
        (fun lib b -> Codec.w_library b lib)
        (fun () -> library config specs))

@@ -51,6 +51,10 @@ val expected_cells : Vartune_stdcell.Spec.t list -> int
 (** Number of cells a library characterised from [specs] must contain
     (one per family × drive). *)
 
+val library_kind : Vartune_liberty.Library.t Vartune_store.Store.kind
+(** The in-process store tier's witness for every library artifact,
+    nominal and statistical. *)
+
 val decode_library :
   what:string ->
   specs:Vartune_stdcell.Spec.t list ->

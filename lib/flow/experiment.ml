@@ -70,6 +70,8 @@ let paper_period_labels min_period =
 let make_memo ?(tiers = []) ?ckpt ~statlib_id () =
   { table = Hashtbl.create 64; lock = Mutex.create (); tiers; ckpt; statlib_id }
 
+let min_period_kind : float Store.kind = Store.kind ()
+
 let min_period_key ~statlib_id ~design_fp =
   Store.Key.(int (str (v "min_period") "statlib" statlib_id) "design" design_fp)
 
@@ -94,7 +96,7 @@ let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
   let tiers = Journal.tiers ?store ckpt in
   let min_period_key = min_period_key ~statlib_id ~design_fp in
   let min_period, _ =
-    Store.fetch tiers min_period_key Codec.r_float
+    Store.fetch ~kind:min_period_kind tiers min_period_key Codec.r_float
       (fun p b -> Codec.w_float b p)
       (fun () -> Synthesis.min_period statlib design)
   in
@@ -153,6 +155,8 @@ let encode_run r b =
   Codec.w_paths b r.paths;
   Codec.w_design_sigma b r.design_sigma
 
+let run_kind : run Store.kind = Store.kind ()
+
 let decode_run ~(cons : Constraints.t) r =
   let label = Codec.r_string r in
   let period = Codec.r_float r in
@@ -181,7 +185,7 @@ let run_with setup ~period ~label ~restrictions =
     r
   | None ->
     let r, hit =
-      Store.fetch memo.tiers key (decode_run ~cons) encode_run (fun () ->
+      Store.fetch ~kind:run_kind memo.tiers key (decode_run ~cons) encode_run (fun () ->
           let result = Synthesis.run cons setup.statlib setup.design in
           let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
           { label; period; result; paths; design_sigma = Design_sigma.of_paths paths })

@@ -178,4 +178,7 @@ val tiers : ?store:Vartune_store.Store.t -> ctx option -> Vartune_store.Store.t 
 (** The cache tiers of an artifact, in probe order for
     {!Vartune_store.Store.fetch}: the shared [store] first, then the
     journaled run's [state/] store.  Either may be absent; with neither,
-    the list is empty and every fetch computes. *)
+    the list is empty and every fetch computes.  Each tier is probed in
+    its handle's in-process tier of decoded values before its disk
+    entry, so a handle that lives across requests decodes each artifact
+    at most once; a computed artifact is remembered by both tiers. *)

@@ -536,7 +536,7 @@ let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
   let id = Store.Key.id key in
   let specs_used = Option.value specs ~default:Vartune_stdcell.Catalog.specs in
   let lib, _ =
-    Store.fetch (Journal.tiers ?store ckpt) key
+    Store.fetch ~kind:Characterize.library_kind (Journal.tiers ?store ckpt) key
       (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
       (fun lib b -> Codec.w_library b lib)
       (fun () ->

@@ -76,11 +76,85 @@ let error_to_string = function
   | Disabled -> "store degraded to no-store mode"
 
 (* ------------------------------------------------------------------ *)
+(* In-process tier                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Decoded values of every artifact type share one table as [univ].
+   Each [kind] extends it with a constructor of its own, so a
+   projection succeeds only on a value its own injection made. *)
+type univ = ..
+type 'a kind = { inj : 'a -> univ; prj : univ -> 'a option }
+
+let kind (type a) () : a kind =
+  let module K = struct
+    type univ += V of a
+  end in
+  { inj = (fun v -> K.V v); prj = (function K.V v -> Some v | _ -> None) }
+
+let memory_budget = 8 * 1024 * 1024
+
+module Stamps = Map.Make (Int)
+
+type entry = { value : univ; size : int; mutable stamp : int }
+
+(* A least-recently-used table under one lock: [order] maps each
+   entry's last-use stamp to its recipe id, so its minimum is the next
+   eviction. *)
+type memory = {
+  lock : Mutex.t;
+  entries : (string, entry) Hashtbl.t;
+  mutable order : string Stamps.t;
+  mutable clock : int;
+  mutable bytes : int;
+}
+
+let new_memory () =
+  { lock = Mutex.create (); entries = Hashtbl.create 16; order = Stamps.empty; clock = 0;
+    bytes = 0 }
+
+let forget m id =
+  match Hashtbl.find_opt m.entries id with
+  | None -> ()
+  | Some e ->
+    Hashtbl.remove m.entries id;
+    m.order <- Stamps.remove e.stamp m.order;
+    m.bytes <- m.bytes - e.size
+
+(* Stamps start at 1, so a new entry's 0 is in no map. *)
+let touch m id e =
+  m.order <- Stamps.remove e.stamp m.order;
+  m.clock <- m.clock + 1;
+  e.stamp <- m.clock;
+  m.order <- Stamps.add e.stamp id m.order
+
+let recall m kind id =
+  Mutex.protect m.lock (fun () ->
+      match Hashtbl.find_opt m.entries id with
+      | None -> None
+      | Some e ->
+        let v = kind.prj e.value in
+        if Option.is_some v then touch m id e;
+        v)
+
+let remember m kind id v ~size =
+  if size <= memory_budget then
+    Mutex.protect m.lock (fun () ->
+        forget m id;
+        let e = { value = kind.inj v; size; stamp = 0 } in
+        touch m id e;
+        Hashtbl.replace m.entries id e;
+        m.bytes <- m.bytes + size;
+        while m.bytes > memory_budget do
+          forget m (snd (Stamps.min_binding m.order))
+        done)
+
+(* ------------------------------------------------------------------ *)
 (* Store handle                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
   root : string;
+  memory : memory;
   hits : int Atomic.t;
   misses : int Atomic.t;
   writes : int Atomic.t;
@@ -181,6 +255,7 @@ let open_dir root =
   sweep_litter root;
   {
     root;
+    memory = new_memory ();
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     writes = Atomic.make 0;
@@ -348,7 +423,9 @@ let read_entry path =
         fill 0;
         Some (Bytes.unsafe_to_string buf))
 
-let load_result (t : t) key decode =
+(* The decoded value with its payload length, the in-process tier's
+   charge. *)
+let load_sized (t : t) key decode =
   Obs.span "store.load" ~attrs:(fun () -> [ ("key", Key.id key) ]) @@ fun () ->
   if Atomic.get t.is_degraded then Error Disabled
   else begin
@@ -365,13 +442,16 @@ let load_result (t : t) key decode =
     | Ok None -> miss ()
     | Ok (Some contents) -> (
       record_success t;
-      match decode (Codec.reader (unframe key contents)) with
-      | value ->
+      match
+        let payload = unframe key contents in
+        (decode (Codec.reader payload), String.length payload)
+      with
+      | sized ->
         Atomic.incr t.hits;
         ignore (Atomic.fetch_and_add t.read_bytes (String.length contents));
         Obs.Counter.incr c_hit;
         Obs.Counter.add c_read_bytes (String.length contents);
-        Ok (Some value)
+        Ok (Some sized)
       | exception Codec.Corrupt reason ->
         evict t path reason;
         miss ()
@@ -387,6 +467,8 @@ let load_result (t : t) key decode =
         evict t path (Printf.sprintf "decoder raised %s" (Printexc.to_string exn));
         miss ())
   end
+
+let load_result t key decode = Result.map (Option.map fst) (load_sized t key decode)
 
 let load (t : t) key decode =
   match load_result t key decode with Ok v -> v | Error _ -> None
@@ -463,7 +545,14 @@ let land_entry path framed =
     remove_quietly tmp;
     raise exn
 
-let save_result (t : t) key encode =
+let payload_of encode =
+  let b = Buffer.create 65536 in
+  encode b;
+  Buffer.contents b
+
+(* Lands the entry bytes [framed ()] returns; they are made under the
+   entry lock, so a writer that finds the lock taken skips the work. *)
+let save_framed (t : t) key framed =
   Obs.span "store.save" ~attrs:(fun () -> [ ("key", Key.id key) ]) @@ fun () ->
   if Atomic.get t.is_degraded then Error Disabled
   else begin
@@ -483,11 +572,7 @@ let save_result (t : t) key encode =
         Fun.protect
           ~finally:(fun () -> remove_quietly lock)
           (fun () ->
-            let framed =
-              let payload = Buffer.create 65536 in
-              encode payload;
-              frame key (Buffer.contents payload)
-            in
+            let framed = framed () in
             with_retries t ~site:"store.save" (fun () -> land_entry path framed))
     in
     match outcome with
@@ -507,22 +592,47 @@ let save_result (t : t) key encode =
       Error e
   end
 
-let save (t : t) key encode =
-  match save_result t key encode with
-  | Ok () | Error (Locked | Disabled | Io _ | No_space _) -> ()
+let save_result t key encode = save_framed t key (fun () -> frame key (payload_of encode))
+
+let ignore_outcome = function Ok () | Error (Locked | Disabled | Io _ | No_space _) -> ()
+let save t key encode = ignore_outcome (save_result t key encode)
 
 (* ------------------------------------------------------------------ *)
 (* Tiered fetch                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fetch stores key decode encode compute =
+(* A degraded handle is in no-store mode for its in-process tier too. *)
+let live (t : t) = not (Atomic.get t.is_degraded)
+
+(* Each handle is probed in memory, then on disk.  A computed value is
+   encoded once, remembered by every live handle and only then saved,
+   so a concurrent fetch in this process finds it in memory rather than
+   decoding the bytes being written. *)
+let fetch ~kind stores key decode encode compute =
+  let id = Key.id key in
   let rec probe = function
     | [] ->
       let v = compute () in
-      List.iter (fun s -> save s key (encode v)) stores;
+      let tiers = List.filter live stores in
+      if tiers <> [] then begin
+        let payload = Obs.span "store.encode" (fun () -> payload_of (encode v)) in
+        List.iter (fun s -> remember s.memory kind id v ~size:(String.length payload)) tiers;
+        let framed = frame key payload in
+        List.iter (fun s -> ignore_outcome (save_framed s key (fun () -> framed))) tiers
+      end;
       (v, false)
     | s :: rest -> (
-      match load s key decode with Some v -> (v, true) | None -> probe rest)
+      match if live s then recall s.memory kind id else None with
+      | Some v ->
+        Atomic.incr s.hits;
+        Obs.Counter.incr c_hit;
+        (v, true)
+      | None -> (
+        match load_sized s key decode with
+        | Ok (Some (v, size)) ->
+          remember s.memory kind id v ~size;
+          (v, true)
+        | Ok None | Error _ -> probe rest))
   in
   probe stores
 

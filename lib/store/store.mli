@@ -45,13 +45,36 @@
       is logged.  The store is an accelerator; it never fails the
       pipeline and never serves a corrupt artifact.
 
+    {2 In-process tier}
+
+    Each handle also keeps the values {!fetch} decoded or computed
+    through it, so a long-lived process (the serve daemon, a sweep)
+    decodes each artifact at most once per handle.  It is a
+    least-recently-used table keyed by {!Key.id}, guarded by one mutex,
+    and limited to {!memory_budget} bytes of encoded payload: each
+    entry is charged the length of the payload its disk entry holds,
+    and an artifact larger than the budget is never kept.  Only
+    {!fetch} uses it; {!load}, {!save} and their [_result] forms stay
+    disk-only.  A new {!open_dir} handle starts empty, and there is no
+    table shared between handles.  A degraded handle neither consults
+    nor fills it.
+
+    A fetched value may be shared with every later fetch of the same
+    key through the same handle, across requests and domains.  Callers
+    must treat it as read-only: mutable parts (a synthesised netlist,
+    its timing) are never to be changed in place.
+
     {2 Telemetry}
 
     When {!Vartune_obs.Obs} is enabled, operations record [store.load]
-    / [store.save] spans and the counters [store.hit], [store.miss],
+    / [store.save] spans ({!fetch} encodes a computed artifact once,
+    outside them, in a [store.encode] span) and the counters
+    [store.hit], [store.miss],
     [store.write], [store.evict], [store.read_bytes],
-    [store.write_bytes].  Per-handle {!stats} are always maintained
-    (atomically — handles may be shared across domains). *)
+    [store.write_bytes].  A hit in the in-process tier adds to
+    [store.hit] (and the handle's [hits]) but never to [read_bytes],
+    and opens no [store.load] span.  Per-handle {!stats} are always
+    maintained (atomically — handles may be shared across domains). *)
 
 module Key : sig
   type t
@@ -149,20 +172,43 @@ val save_result : t -> Key.t -> (Buffer.t -> unit) -> (unit, error) result
 (** Like {!save} but surfaces typed failures instead of swallowing
     them. *)
 
+type 'a kind
+(** A type witness for the in-process tier, which holds values of every
+    artifact type in one table.  Make one per artifact type, once, at
+    module initialisation, and pass it to every {!fetch} of that type;
+    a value remembered under one kind is never returned under
+    another. *)
+
+val kind : unit -> 'a kind
+(** A fresh witness, distinct from every other. *)
+
+val memory_budget : int
+(** The in-process tier's limit per handle, in bytes of encoded
+    payload: 8 MiB. *)
+
 val fetch :
-  t list -> Key.t -> (Codec.reader -> 'a) -> ('a -> Buffer.t -> unit) -> (unit -> 'a) ->
+  kind:'a kind ->
+  t list ->
+  Key.t ->
+  (Codec.reader -> 'a) ->
+  ('a -> Buffer.t -> unit) ->
+  (unit -> 'a) ->
   'a * bool
-(** [fetch stores key decode encode compute] is the one probe-and-save
-    policy of every cached pipeline artifact.  The stores are probed
-    with {!load} in list order and the first hit wins; a hit in a later
-    store is not written back to earlier ones.  On a miss in every
-    store, [compute] runs once and its result is {!save}d to all of
-    them.  The flag is [true] on a hit.  An exception from [compute]
-    (e.g. a journaled run's [Interrupted]) propagates and nothing is
+(** [fetch ~kind stores key decode encode compute] is the one
+    probe-and-save policy of every cached pipeline artifact.  The
+    stores are probed in list order, each first in its in-process tier
+    and then on disk with {!load}, and the first hit wins.  A disk hit
+    is remembered by the store that served it; it is not written back
+    to earlier stores.  On a miss in every store, [compute] runs once,
+    its result is encoded once, remembered by every store, and then
+    the same entry bytes are {!save}d to all of them.  The flag is
+    [true] on a hit.  An exception from [compute] (e.g. a journaled
+    run's [Interrupted]) propagates and nothing is remembered or
     saved.  Like {!load}, a corrupt entry — including one whose
     decoder raises {!Codec.Corrupt} on a semantic check — is evicted
     and treated as a miss, so the next store (or [compute]) serves the
-    artifact. *)
+    artifact.  The result is shared: see the read-only contract
+    above. *)
 
 val degraded : t -> bool
 (** [true] once the handle has dropped to no-store mode (ENOSPC or

@@ -20,6 +20,9 @@ module Fault = Vartune_fault.Fault
 module Pool = Vartune_util.Pool
 module Json = Vartune_obs.Json
 module Obs = Vartune_obs.Obs
+module Tuning_method = Vartune_tuning.Tuning_method
+module Threshold = Vartune_tuning.Threshold
+module Figures = Vartune_flow.Figures
 
 let temp_root =
   Filename.concat
@@ -174,6 +177,87 @@ let test_serve_matches_exec_and_cli () =
   Alcotest.(check int) "CLI statlib exits 0" 0 code;
   Alcotest.(check bool) "serve output = CLI stdout bytes" true
     (String.equal served (read_file out))
+
+(* One daemon over one store handle shares decoded and computed
+   artifacts across requests: the statistical library every request
+   reads and the minimum period.  Synthesis runs, whose netlists are
+   mutable records, go through the same tier; on this design a run's
+   ~5 MB entry and the 3.75 MB library do not fit the budget together,
+   so a run is evicted by the next request's library fetch.
+   Interleaved and sent twice, every reply must still equal the bytes
+   of the same request executed on a fresh handle over the same
+   directory, which decodes every artifact from disk. *)
+let test_shared_values_match_cold_decode () =
+  let base = { Request.seed = 7; samples = 2 } in
+  let tunes =
+    List.concat_map
+      (fun (tm : Tuning_method.t) ->
+        let params =
+          match tm.Tuning_method.criterion with
+          | Threshold.Sigma_ceiling _ -> Figures.paper_ceilings
+          | Threshold.Load_slope _ | Threshold.Slew_slope _ -> Figures.paper_bounds
+        in
+        List.map
+          (fun p -> Request.Tune { base; tuning = Tuning_method.with_parameter tm p })
+          params)
+      (Tuning_method.paper_methods ~bound:1.0 ~ceiling:0.02)
+  in
+  Alcotest.(check int) "the 20 Fig 10 templates" 20 (List.length tunes);
+  let tuning = List.hd (Tuning_method.paper_methods ~bound:1.0 ~ceiling:0.02) in
+  let others =
+    [|
+      Request.Statlib base;
+      Request.Design_sigma
+        { base; period = None; tuning = Some tuning; timing_report = true; power = true;
+          verilog = true };
+      Request.Sweep
+        { base; tuning; period = None; parameters = [ 0.01; 0.05 ]; mc_samples = Some 20 };
+    |]
+  in
+  let requests =
+    List.concat
+      (List.mapi
+         (fun i tune -> if i mod 7 = 0 then [ others.(i / 7); tune ] else [ tune ])
+         tunes)
+  in
+  Alcotest.(check int) "every request interleaved" 23 (List.length requests);
+  let sent = requests @ requests in
+  with_store "shared.store" @@ fun store ->
+  let served =
+    with_serve ~store "shared.sock" (fun socket _h ->
+        let client = Client.connect socket in
+        Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+        List.mapi
+          (fun i req ->
+            match Client.request ~id:i client req with
+            | Ok resp -> resp
+            | Error e -> Alcotest.failf "served response %d unreadable: %s" i e)
+          sent)
+  in
+  Alcotest.(check bool) "the daemon reused what it built" true
+    ((Store.stats store).Store.hits > 0);
+  let cold = Hashtbl.create 32 in
+  List.iteri
+    (fun i (req, (resp : Response.t)) ->
+      let line = Request.to_line req in
+      let want =
+        match Hashtbl.find_opt cold line with
+        | Some w -> w
+        | None ->
+          let w = Run_request.exec ~store:(Store.open_dir (Store.dir store)) req in
+          Hashtbl.replace cold line w;
+          w
+      in
+      let what = Printf.sprintf "reply %d (%s)" i (Request.kind_string req) in
+      Alcotest.(check int) (what ^ " succeeded") 0 resp.Response.code;
+      Alcotest.(check int) (what ^ ": cold exec succeeded") 0 want.Response.code;
+      Alcotest.(check bool) (what ^ " output = cold decode") true
+        (String.equal resp.Response.output want.Response.output);
+      Alcotest.(check (list string)) (what ^ " recipes") want.Response.recipes
+        resp.Response.recipes;
+      Alcotest.(check bool) (what ^ " artifacts = cold decode") true
+        (resp.Response.artifacts = want.Response.artifacts))
+    (List.combine sent served)
 
 (* ------------------------------------------------------------------ *)
 (* GET endpoints                                                       *)
@@ -697,6 +781,8 @@ let () =
         [
           Alcotest.test_case "serve = exec = CLI bytes" `Slow
             test_serve_matches_exec_and_cli;
+          Alcotest.test_case "shared values = cold decode bytes" `Slow
+            test_shared_values_match_cold_decode;
         ] );
       ( "dedup-under-faults",
         [

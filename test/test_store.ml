@@ -328,6 +328,8 @@ let test_concurrent_writers () =
 (* Tiered fetch                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let int_kind : int Store.kind = Store.kind ()
+
 (* Two stores in probe order.  [fetch] counts [compute]'s calls so each
    case can tell a served artifact from a recomputed one. *)
 let with_two_stores f =
@@ -335,7 +337,7 @@ let with_two_stores f =
       with_store "fetch_second" (fun second ->
           let calls = ref 0 in
           let fetch ?(compute = fun () -> 41 + !calls) key =
-            Store.fetch [ first; second ] key Codec.r_int
+            Store.fetch ~kind:int_kind [ first; second ] key Codec.r_int
               (fun v b -> Codec.w_int b v)
               (fun () ->
                 incr calls;
@@ -398,6 +400,141 @@ let test_fetch_compute_raises () =
       | exception Compute_died -> ());
       Alcotest.(check int) "first not written" 0 (Store.entry_count first);
       Alcotest.(check int) "second not written" 0 (Store.entry_count second))
+
+(* The in-process tier.  [counting] fetches string artifacts through
+   the given stores and counts every decode, encode and compute, so a
+   case can tell a memory hit from a disk hit from a recomputation. *)
+type counts = { decodes : int ref; encodes : int ref; computes : int ref }
+
+let string_kind : string Store.kind = Store.kind ()
+
+let counting () =
+  let c = { decodes = ref 0; encodes = ref 0; computes = ref 0 } in
+  let fetch ?(kind = string_kind) ?(compute = fun () -> "computed") stores key =
+    Store.fetch ~kind stores key
+      (fun r ->
+        incr c.decodes;
+        Codec.r_string r)
+      (fun v b ->
+        incr c.encodes;
+        Codec.w_string b v)
+      (fun () ->
+        incr c.computes;
+        compute ())
+  in
+  (c, fetch)
+
+let check_counts what c ~decodes ~encodes ~computes =
+  Alcotest.(check (list int))
+    (what ^ ": decodes, encodes, computes")
+    [ decodes; encodes; computes ]
+    [ !(c.decodes); !(c.encodes); !(c.computes) ]
+
+let read_bytes t = (Store.stats t).Store.read_bytes
+
+let test_memory_hit_skips_decode () =
+  with_store "memory_hit" (fun t ->
+      let c, fetch = counting () in
+      let computed = Key.(int (v "memory_probe") "case" 1) in
+      let on_disk = Key.(int (v "memory_probe") "case" 2) in
+      Alcotest.(check (pair string bool)) "computed" ("computed", false) (fetch [ t ] computed);
+      Store.save t on_disk (fun b -> Codec.w_string b "saved");
+      Alcotest.(check (pair string bool)) "disk hit" ("saved", true) (fetch [ t ] on_disk);
+      check_counts "cold" c ~decodes:1 ~encodes:1 ~computes:1;
+      let hits = (Store.stats t).Store.hits and bytes = read_bytes t in
+      Alcotest.(check (pair string bool)) "computed, remembered" ("computed", true)
+        (fetch [ t ] computed);
+      Alcotest.(check (pair string bool)) "decoded, remembered" ("saved", true)
+        (fetch [ t ] on_disk);
+      check_counts "warm" c ~decodes:1 ~encodes:1 ~computes:1;
+      Alcotest.(check int) "memory hits count as hits" (hits + 2) (Store.stats t).Store.hits;
+      Alcotest.(check int) "read_bytes unchanged" bytes (read_bytes t))
+
+let test_memory_fresh_handle_cold () =
+  with_store "memory_fresh" (fun t ->
+      let c, fetch = counting () in
+      let key = Key.(int (v "memory_probe") "case" 3) in
+      ignore (fetch [ t ] key);
+      ignore (fetch [ t ] key);
+      check_counts "first handle" c ~decodes:0 ~encodes:1 ~computes:1;
+      let fresh = Store.open_dir (Store.dir t) in
+      Alcotest.(check (pair string bool)) "fresh handle hits disk" ("computed", true)
+        (fetch [ fresh ] key);
+      ignore (fetch [ fresh ] key);
+      check_counts "fresh handle decodes once" c ~decodes:1 ~encodes:1 ~computes:1;
+      Alcotest.(check bool) "fresh handle read the entry" true (read_bytes fresh > 0))
+
+let test_memory_kinds_disjoint () =
+  with_store "memory_kinds" (fun t ->
+      let c, fetch = counting () in
+      let key = Key.(int (v "memory_probe") "case" 4) in
+      ignore (fetch [ t ] key);
+      let other : string Store.kind = Store.kind () in
+      Alcotest.(check (pair string bool)) "other kind decodes" ("computed", true)
+        (fetch ~kind:other [ t ] key);
+      check_counts "other kind" c ~decodes:1 ~encodes:1 ~computes:1)
+
+(* A string of [n] bytes encodes to a payload a little over [n]. *)
+let blob n tag = String.make n tag
+
+let test_memory_over_budget_not_kept () =
+  with_store "memory_big" (fun t ->
+      let c, fetch = counting () in
+      let small = Key.(int (v "memory_probe") "case" 5) in
+      let key = Key.(int (v "memory_probe") "case" 6) in
+      let big = blob Store.memory_budget 'b' in
+      ignore (fetch [ t ] small);
+      ignore (fetch ~compute:(fun () -> big) [ t ] key);
+      Alcotest.(check bool) "second fetch served" true (fetch [ t ] key = (big, true));
+      check_counts "over budget" c ~decodes:1 ~encodes:2 ~computes:2;
+      Alcotest.(check (pair string bool)) "small entry kept" ("computed", true)
+        (fetch [ t ] small);
+      check_counts "small entry not evicted for it" c ~decodes:1 ~encodes:2 ~computes:2)
+
+let test_memory_lru_order () =
+  with_store "memory_lru" (fun t ->
+      let c, fetch = counting () in
+      (* two entries fit the budget, three do not *)
+      let size = Store.memory_budget * 2 / 5 in
+      let key i = Key.(int (v "memory_probe") "lru" i) in
+      let put i tag = ignore (fetch ~compute:(fun () -> blob size tag) [ t ] (key i)) in
+      let served i = snd (fetch [ t ] (key i)) in
+      put 1 'a';
+      put 2 'b';
+      Alcotest.(check bool) "1 used again" true (served 1);
+      put 3 'c';
+      check_counts "three computed" c ~decodes:0 ~encodes:3 ~computes:3;
+      Alcotest.(check bool) "1 kept" true (served 1);
+      Alcotest.(check bool) "3 kept" true (served 3);
+      check_counts "1 and 3 from memory" c ~decodes:0 ~encodes:3 ~computes:3;
+      Alcotest.(check bool) "2 read back" true (served 2);
+      check_counts "2, least recently used, was evicted" c ~decodes:1 ~encodes:3 ~computes:3;
+      (* reading 2 back evicted 1, now the least recently used *)
+      Alcotest.(check bool) "3 still kept" true (served 3);
+      Alcotest.(check bool) "1 read back" true (served 1);
+      check_counts "1 evicted by 2" c ~decodes:2 ~encodes:3 ~computes:3)
+
+let test_memory_compute_raises () =
+  with_store "memory_raise" (fun t ->
+      let c, fetch = counting () in
+      let key = Key.(int (v "memory_probe") "case" 7) in
+      (match fetch ~compute:(fun () -> raise Compute_died) [ t ] key with
+      | _ -> Alcotest.fail "compute exception must propagate"
+      | exception Compute_died -> ());
+      Alcotest.(check (pair string bool)) "recomputed" ("computed", false) (fetch [ t ] key);
+      check_counts "nothing remembered" c ~decodes:0 ~encodes:1 ~computes:2)
+
+let test_fetch_encodes_once () =
+  with_store "encode_first" (fun first ->
+      with_store "encode_second" (fun second ->
+          let c, fetch = counting () in
+          let key = Key.(int (v "memory_probe") "case" 8) in
+          ignore (fetch ~compute:(fun () -> blob 100_000 'e') [ first; second ] key);
+          check_counts "one encode for two stores" c ~decodes:0 ~encodes:1 ~computes:1;
+          Alcotest.(check bool) "entries byte-identical" true
+            (String.equal
+               (read_file (Store.entry_path first key))
+               (read_file (Store.entry_path second key)))))
 
 (* A stored library whose cell count contradicts the specs in its key
    passed the checksum but is logically corrupt: it must be evicted and
@@ -519,6 +656,16 @@ let () =
             test_fetch_corrupt_first_falls_through;
           Alcotest.test_case "compute raises, nothing saved" `Quick
             test_fetch_compute_raises;
+          Alcotest.test_case "memory hit skips decode and compute" `Quick
+            test_memory_hit_skips_decode;
+          Alcotest.test_case "fresh handle is cold" `Quick test_memory_fresh_handle_cold;
+          Alcotest.test_case "kinds never alias" `Quick test_memory_kinds_disjoint;
+          Alcotest.test_case "over-budget artifact not kept" `Quick
+            test_memory_over_budget_not_kept;
+          Alcotest.test_case "LRU evicts least recently used" `Quick test_memory_lru_order;
+          Alcotest.test_case "compute raises, nothing remembered" `Quick
+            test_memory_compute_raises;
+          Alcotest.test_case "one encode for every store" `Quick test_fetch_encodes_once;
           Alcotest.test_case "nominal rejects wrong cell count" `Quick
             test_nominal_rejects_wrong_cell_count;
         ] );
