@@ -89,7 +89,16 @@ let required_float g name =
   | Some f -> f
   | None -> fail "group %s: missing numeric attribute %s" g.Ast.gname name
 
+(* The constructors reject what the grammar accepts but a library cannot
+   hold: a non-increasing axis, a ragged or mis-sized table, mismatched
+   arc axes, a duplicate cell.  Their [Invalid_argument] (and a
+   malformed number's [Failure]) becomes an {!Error} naming the group,
+   so a corrupt file is a data error, not an uncaught exception. *)
+let checked what name f =
+  try f () with Invalid_argument msg | Failure msg -> fail "%s %s: %s" what name msg
+
 let lut_of_group g =
+  checked "table" g.Ast.gname @@ fun () ->
   let axis name =
     match Ast.complex_values g name with
     | Some values -> Ast.float_list_of_values values
@@ -133,6 +142,7 @@ let arc_of_group timing =
       | Some sense -> sense
       | None -> fail "timing group: bad timing_sense %S" s)
   in
+  checked "timing group, related_pin" related_pin @@ fun () ->
   Arc.make ~related_pin ~sense
     ~rise_delay:(find_table timing "cell_rise")
     ~fall_delay:(find_table timing "cell_fall")
@@ -164,6 +174,7 @@ let cell_of_group g =
       | None -> fail "cell %s: bad kind %S" name s)
   in
   let pins = List.map pin_of_group (Ast.child_groups g "pin") in
+  checked "cell" name @@ fun () ->
   Cell.make ~name
     ~family:(required_string g "family")
     ~drive_strength:
@@ -184,7 +195,7 @@ let library_of_ast g =
   let name = match g.Ast.args with [ n ] -> n | _ -> fail "library group: expected one name" in
   let corner = Option.value (Ast.attr_string g "corner") ~default:"UNKNOWN" in
   let cells = List.map cell_of_group (Ast.child_groups g "cell") in
-  Library.make ~name ~corner ~cells
+  checked "library" name @@ fun () -> Library.make ~name ~corner ~cells
 
 let parse src = library_of_ast (parse_group src)
 

@@ -11,7 +11,9 @@ val parse_group : string -> Ast.group
 
 val library_of_ast : Ast.group -> Library.t
 (** Semantic elaboration of a [library(...) { ... }] group.
-    Raises {!Error} on missing or ill-typed fields. *)
+    Raises {!Error}, naming the group, on missing or ill-typed fields
+    and on contents no library can hold: a non-increasing axis, a
+    ragged table, a duplicate cell, a malformed number. *)
 
 val parse : string -> Library.t
 (** [parse src = library_of_ast (parse_group src)]. *)

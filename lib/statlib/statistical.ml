@@ -67,10 +67,10 @@ let layout_of_library lib =
   { proto_cells; arc_protos; cell_first_arc; cell_arc_count; offset; size; total = !total }
 
 (* Copy one sample library's surfaces into [buf] (length [total]),
-   validating its structure against the layout with the same checks —
-   and the same error messages — the boxed accumulator made per
-   update.  Every entry of [buf] is overwritten (the arc blocks tile
-   [0, total)), so one scratch buffer serves a whole sample stream. *)
+   validating its structure against the layout: cell count, cell order,
+   arc count, arc order, table axes, each with its own message.  Every
+   entry of [buf] is overwritten (the arc blocks tile [0, total)), so
+   one scratch buffer serves a whole sample stream. *)
 let flatten_into layout lib buf =
   let cells = Array.of_list (Library.cells lib) in
   if Array.length cells <> Array.length layout.proto_cells then
@@ -103,9 +103,9 @@ let flatten_into layout lib buf =
         arcs)
     cells
 
-(* Structural agreement of two chunk layouts, checked in the order the
-   boxed per-cell merge checked (count, cell order, arc count, arc
-   order, axes) so a malformed stream raises the identical message. *)
+(* Structural agreement of two chunk layouts, checked in the same order
+   as [flatten_into] (count, cell order, arc count, arc order, axes) so
+   a malformed stream raises the same message whichever check sees it. *)
 let check_layouts_agree a b =
   if Array.length b.proto_cells <> Array.length a.proto_cells then
     invalid_arg "Statistical: sample library has mismatched cell count";
@@ -180,8 +180,8 @@ let accumulate_chunk gen ~lo ~hi =
 
 (* Chan et al. pairwise combination: [a] is the left (lower-index)
    sample block and absorbs [b], one kernel pass over the whole flat
-   surface.  The zero-count copy stays a plain blit, exactly as the
-   boxed accumulator special-cased it. *)
+   surface.  The zero-count copy stays a plain blit, so it never goes
+   through arithmetic. *)
 let chunk_merge a b =
   check_layouts_agree a.layout b.layout;
   if b.count > 0 then begin
@@ -322,11 +322,11 @@ let store_key config ~mismatch ~seed ~n ?specs () =
    continues from exactly the state an uninterrupted run would hold at
    the same block boundary — the final library is bit-identical.
 
-   The byte stream is unchanged from the boxed-era codec (per table:
-   count, then the mean grid, then the m2 grid, each grid as rows, cols
-   and row-major floats), read and written directly from slices of the
-   flat arrays — so checkpoints landed by older builds still decode,
-   and warm store artifacts stay valid with no version bump.
+   Per table the byte stream is the count, then the mean grid, then the
+   m2 grid, each grid as rows, cols and row-major floats, read and
+   written directly from slices of the flat arrays.  The layout is
+   fixed: checkpoints landed by older builds still decode, and warm
+   store artifacts stay valid with no version bump.
 
    Only the mutable statistics are stored.  The structural skeleton
    (cells, pins, arcs, LUT axes, internal power) is rebuilt on decode
@@ -341,9 +341,8 @@ let store_key config ~mismatch ~seed ~n ?specs () =
 let checkpoint_key ~id ~blocks =
   Store.Key.int (Store.Key.str (Store.Key.v "statlib_partial") "statlib" id) "blocks" blocks
 
-(* One table surface of one accumulator role, as the boxed w_grid
-   wrote it: dimensions then the row-major floats — here a direct
-   slice walk of the flat array. *)
+(* One table surface of one accumulator role: dimensions then the
+   row-major floats, a direct slice walk of the flat array. *)
 let w_surface b ~rows ~cols data pos =
   Codec.w_int b rows;
   Codec.w_int b cols;

@@ -8,14 +8,15 @@
    loads hoisted — so callers lay their surfaces out flat (SoA) and the
    inner loops touch contiguous unboxed memory only.
 
-   Bit-exactness contract: each kernel performs the exact float-op
-   sequence of the boxed code it replaced (see Statlib.Boxed_ref and
-   Lut.lookup's history), so flattened callers produce bit-identical
-   results at any pool size.  Do not reorder or refactor arithmetic
-   here without re-running the bitwise-agreement tests.
+   Bit-exactness contract: the float-op sequence of each kernel is
+   fixed.  Golden digests of the statistical library in test_kernel.ml
+   pin its bits at any pool size, a two-pass mean/stddev oracle in
+   test_statlib.ml checks its formula, and the bilinear kernels are
+   checked bit for bit against a naive evaluator.  Reordering the
+   arithmetic here changes the digests and every stored artifact.
 
    Counters are batched — one [add] per kernel call, never per entry —
-   so BENCH attribution costs one atomic read on the disabled path. *)
+   so benchmark attribution costs one atomic read on the disabled path. *)
 
 module Obs = Vartune_obs.Obs
 
@@ -31,8 +32,8 @@ module Welford = struct
     len
 
   (* Absorb [x] entry-wise as the [n]-th observation (so the caller has
-     already bumped its count to [n]).  Same update as
-     [Stat.Welford.add], vectorised over the whole surface. *)
+     already bumped its count to [n]): delta = x - mean, mean += delta/n,
+     m2 += delta * (x - mean'), over the whole surface. *)
   let update ~n ~mean ~m2 x =
     let len = check3 "update" mean m2 x in
     let fn = float_of_int n in
@@ -48,9 +49,9 @@ module Welford = struct
 
   (* Chan et al. pairwise combination: the left partial (count [na])
      absorbs the right (count [nb]) in place.  Both counts must be
-     positive — the caller owns the [na = 0] blit case, exactly as the
-     boxed accumulator did, so the zero-count copy stays a copy and
-     never goes through arithmetic that could perturb bits. *)
+     positive — the caller owns the [na = 0] blit case, so the
+     zero-count copy stays a copy and never goes through arithmetic
+     that could perturb bits. *)
   let merge ~na ~nb ~mean_a ~m2_a ~mean_b ~m2_b =
     if na <= 0 || nb <= 0 then invalid_arg "Kernel.Welford.merge: counts must be positive";
     let len = check3 "merge" mean_a m2_a mean_b in

@@ -7,15 +7,16 @@
     row-major) and the kernels touch contiguous unboxed memory with
     hoisted axis loads and no per-entry records.
 
-    Bit-exactness contract: every kernel performs the exact float-op
-    sequence of the boxed code it replaced, so flattened callers stay
-    bit-identical to the seed implementation at any pool size.  The
-    bitwise-agreement tests in [test_kernel.ml] pin this down; do not
-    reorder arithmetic without re-running them.
+    Bit-exactness contract: the float-op sequence of each kernel is
+    fixed, so callers are bit-identical at any pool size.  Golden
+    digests of the statistical library in [test_kernel.ml] pin the
+    Welford bits, a two-pass oracle in [test_statlib.ml] checks the
+    formula, and a naive evaluator checks the bilinear kernels bit for
+    bit; do not reorder arithmetic.
 
     Obs counters ([kernel.welford_update_entries],
     [kernel.welford_merge_entries], [kernel.bilinear_lookups]) are
-    batched per kernel call for BENCH attribution. *)
+    batched per kernel call for benchmark attribution. *)
 
 module Welford : sig
   val update : n:int -> mean:float array -> m2:float array -> float array -> unit

@@ -80,53 +80,3 @@ let covariance a b =
 let correlation a b =
   let sa = stddev a and sb = stddev b in
   if sa = 0.0 || sb = 0.0 then 0.0 else covariance a b /. (sa *. sb)
-
-module Welford = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-  let copy t = { n = t.n; mean = t.mean; m2 = t.m2 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  (* Chan et al. pairwise combination of two partial accumulators.  The
-     parallel merge convention throughout the project: partials cover
-     fixed contiguous index blocks and are combined left-to-right in
-     block order, so the result never depends on which worker computed
-     which block. *)
-  let merge a b =
-    if a.n = 0 then copy b
-    else if b.n = 0 then copy a
-    else begin
-      let na = float_of_int a.n and nb = float_of_int b.n in
-      let n = na +. nb in
-      let delta = b.mean -. a.mean in
-      {
-        n = a.n + b.n;
-        mean = a.mean +. (delta *. (nb /. n));
-        m2 = a.m2 +. b.m2 +. (delta *. delta *. (na *. nb /. n));
-      }
-    end
-
-  let count t = t.n
-  let mean t = if t.n = 0 then invalid_arg "Welford.mean: empty" else t.mean
-
-  (* [m2] is mathematically non-negative, but the streaming update and
-     the pairwise merge both subtract nearly equal quantities, so heavy
-     cancellation (near-constant data) can leave a tiny negative residue
-     like -1e-18.  Clamp it — otherwise [stddev] is sqrt of a negative
-     and silently poisons everything downstream with NaN.  A genuine NaN
-     input still propagates: only negatives are clamped. *)
-  let variance t =
-    if t.n < 2 then 0.0
-    else begin
-      let v = t.m2 /. float_of_int (t.n - 1) in
-      if v < 0.0 then 0.0 else v
-    end
-
-  let stddev t = sqrt (variance t)
-end

@@ -31,31 +31,3 @@ val covariance : float array -> float array -> float
 
 val correlation : float array -> float array -> float
 (** Pearson correlation; [0.] if either series is constant. *)
-
-(** Streaming mean/variance accumulation (Welford) with the pairwise
-    partial-merge of Chan et al. — the scalar reference for the
-    domain-parallel merges used by the statistical library builder.
-    Merging block accumulators left-to-right in index order yields a
-    result independent of how the blocks were scheduled. *)
-module Welford : sig
-  type t
-
-  val create : unit -> t
-  val copy : t -> t
-
-  val add : t -> float -> unit
-  (** Streams one observation into the accumulator. *)
-
-  val merge : t -> t -> t
-  (** [merge a b] combines two partials covering disjoint sample sets;
-      [a] is the left (lower-index) block.  Neither input is mutated. *)
-
-  val count : t -> int
-  val mean : t -> float
-  (** Raises [Invalid_argument] when empty. *)
-
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] for fewer than two observations. *)
-
-  val stddev : t -> float
-end

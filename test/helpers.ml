@@ -167,6 +167,97 @@ let small_statlib =
 
 let nominal_small = lazy (Characterize.library Characterize.default_config small_specs)
 
+(* Liberty text the grammar accepts but no library can hold, as
+   [(label, source, group the parse error must name)]: a
+   non-increasing index_1, a ragged values row, two cells with one
+   name, a table number that does not parse.  Only the cell_rise
+   table carries a table defect; [well_formed_library] has none. *)
+let liberty_source ?index_1 ?values cells =
+  let table ?(index_1 = "0.1, 0.2") ?(values = {|"1, 2", "3, 4"|}) name =
+    Printf.sprintf {|%s() { index_1("%s"); index_2("0.1, 0.2"); values(%s); }|} name index_1
+      values
+  in
+  let cell name =
+    Printf.sprintf
+      {|cell(%s) { family : "INV"; drive_strength : 1; area : 1;
+          pin(A) { direction : input; capacitance : 0.001; }
+          pin(Z) { direction : output; timing() { related_pin : "A"; %s %s %s %s } } }|}
+      name
+      (table ?index_1 ?values "cell_rise")
+      (table "cell_fall") (table "rise_transition") (table "fall_transition")
+  in
+  Printf.sprintf "library(l) { corner : \"tc\"; %s }" (String.concat " " (List.map cell cells))
+
+let well_formed_library = liberty_source [ "INV_1"; "INV_2" ]
+
+let corrupt_libraries =
+  [
+    ("non-increasing index_1", liberty_source ~index_1:"0.2, 0.1" [ "INV_1" ], "table cell_rise");
+    ("ragged values row", liberty_source ~values:{|"1, 2", "3"|} [ "INV_1" ], "table cell_rise");
+    ("duplicate cell name", liberty_source [ "INV_1"; "INV_1" ], "library l");
+    ("malformed number", liberty_source ~index_1:"0.1, 0.2x" [ "INV_1" ], "table cell_rise");
+  ]
+
+(* MD5 of every mean and sigma entry's IEEE bits in library order:
+   cells, then arcs in [Cell.arcs] order, then rise/fall delay,
+   rise/fall transition, rise/fall delay sigma, each table row-major,
+   each entry as its 64 bits little-endian. *)
+let library_digest lib =
+  let module Lut = Vartune_liberty.Lut in
+  let module Arc = Vartune_liberty.Arc in
+  let b = Buffer.create 65536 in
+  let add t =
+    let rows, cols = Lut.dims t in
+    for i = 0 to rows - 1 do
+      for j = 0 to cols - 1 do
+        Buffer.add_int64_le b (Int64.bits_of_float (Lut.get t i j))
+      done
+    done
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (a : Arc.t) ->
+          List.iter add
+            [
+              a.Arc.rise_delay;
+              a.Arc.fall_delay;
+              a.Arc.rise_transition;
+              a.Arc.fall_transition;
+              Option.get a.Arc.rise_delay_sigma;
+              Option.get a.Arc.fall_delay_sigma;
+            ])
+        (Cell.arcs c))
+    (Library.cells lib);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* ------------------------------------------------------------------ *)
+(* One-entry Welford partials through the live kernel                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [xs] streamed through [Kernel.Welford.update] as a one-entry
+   surface: [(count, mean, m2)]. *)
+let welford_of xs =
+  let mean = [| 0.0 |] and m2 = [| 0.0 |] in
+  Array.iteri (fun i x -> Vartune_util.Kernel.Welford.update ~n:(i + 1) ~mean ~m2 [| x |]) xs;
+  (Array.length xs, mean, m2)
+
+let welford_sigma (n, _, m2) =
+  let dst = [| 0.0 |] in
+  Vartune_util.Kernel.Welford.sigma_into ~n ~m2 ~dst;
+  dst.(0)
+
+(* [a] (lower-index block) absorbs [b] the way the statistical library
+   combines its blocks: an empty side is a copy, never arithmetic. *)
+let welford_merge ((na, mean_a, m2_a) as a) ((nb, mean_b, m2_b) as b) =
+  if nb = 0 then a
+  else if na = 0 then b
+  else begin
+    let mean = Array.copy mean_a and m2 = Array.copy m2_a in
+    Vartune_util.Kernel.Welford.merge ~na ~nb ~mean_a:mean ~m2_a:m2 ~mean_b ~m2_b;
+    (na + nb, mean, m2)
+  end
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

@@ -93,6 +93,14 @@ let test_data_error () =
   write_file bad "this is not a liberty file {";
   check_exit "unparsable library exits 65" 65 (vartune [ "parse"; bad ])
 
+let test_corrupt_library_data_error () =
+  List.iteri
+    (fun i (label, src, _) ->
+      let path = in_temp (Printf.sprintf "corrupt_%d.lib" i) in
+      write_file path src;
+      check_exit (label ^ " exits 65") 65 (vartune [ "parse"; path ]))
+    Helpers.corrupt_libraries
+
 let tiny_lib_path () =
   let path = in_temp "tiny.lib" in
   Printer.write_file path (Library.make ~name:"tiny" ~corner:"tc" ~cells:[]);
@@ -358,6 +366,8 @@ let () =
         [
           Alcotest.test_case "usage errors (64)" `Quick test_usage_errors;
           Alcotest.test_case "data error (65)" `Quick test_data_error;
+          Alcotest.test_case "corrupt library contents (65)" `Quick
+            test_corrupt_library_data_error;
           Alcotest.test_case "full stdout (74)" `Quick test_io_error_full_stdout;
           Alcotest.test_case "parse ok (0)" `Quick test_parse_ok;
           Alcotest.test_case "damaged journal (65)" `Quick test_resume_damaged_journal;

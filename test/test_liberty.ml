@@ -398,6 +398,19 @@ let test_parser_errors () =
   expect_error "library(l) { cell() { } }";
   expect_error "library(l) { cell(C) { area : 1; } }" (* missing family *)
 
+let test_parser_rejects_inconsistent_contents () =
+  Alcotest.(check int) "well-formed fixture parses" 2
+    (Library.size (Parser.parse Helpers.well_formed_library));
+  List.iter
+    (fun (label, src, group) ->
+      match Parser.parse src with
+      | _ -> Alcotest.failf "%s: parsed" label
+      | exception Parser.Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error %S names %s" label msg group)
+          true (Helpers.contains msg group))
+    Helpers.corrupt_libraries
+
 let test_roundtrip_library () =
   let lib = Lazy.force Helpers.small_statlib in
   let text = Printer.to_string lib in
@@ -545,6 +558,8 @@ let () =
           Alcotest.test_case "lexer strings/errors" `Quick test_lexer_string_and_errors;
           Alcotest.test_case "ast helpers" `Quick test_ast_helpers;
           Alcotest.test_case "parser errors" `Quick test_parser_errors;
+          Alcotest.test_case "parser rejects inconsistent contents" `Quick
+            test_parser_rejects_inconsistent_contents;
           Alcotest.test_case "statlib roundtrip" `Slow test_roundtrip_library;
           Alcotest.test_case "power roundtrip" `Quick test_roundtrip_power_and_leakage;
           test_roundtrip_random_values;

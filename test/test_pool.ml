@@ -1,10 +1,11 @@
 (* Tests for Vartune_util.Pool (ordered deterministic parallel map) and
-   the pairwise Welford merge that underpins the parallel statistical
-   library builder. *)
+   the pairwise Welford merge of Vartune_util.Kernel that underpins the
+   parallel statistical library builder. *)
 
 module Pool = Vartune_util.Pool
 module Rng = Vartune_util.Rng
 module Stat = Vartune_util.Stat
+module Kernel = Vartune_util.Kernel
 
 let with_pool jobs f =
   let pool = Pool.create ~jobs () in
@@ -84,84 +85,91 @@ let test_create_rejects_bad_jobs () =
 (* --------------------- pairwise Welford merge ----------------------- *)
 
 let test_welford_merge_matches_streaming =
-  (* partials over fixed blocks, merged left-to-right, must agree with
-     the streaming oracle that saw every sample in order *)
+  (* partials over fixed blocks, merged left-to-right by the kernel,
+     must agree with the streaming update that saw every sample in
+     order *)
   Helpers.qtest ~count:200 "pairwise merge = streaming oracle"
     QCheck2.Gen.(pair int (int_range 1 200))
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let xs = Array.init n (fun _ -> 1.0 +. Rng.normal rng) in
-      let streaming = Stat.Welford.create () in
-      Array.iter (Stat.Welford.add streaming) xs;
+      let streaming = Helpers.welford_of xs in
       (* deterministic but irregular block sizes *)
       let block_rng = Rng.create (seed lxor 0x55) in
-      let merged = ref (Stat.Welford.create ()) in
+      let merged = ref (Helpers.welford_of [||]) in
       let i = ref 0 in
       while !i < n do
         let len = min (n - !i) (1 + Rng.int block_rng 7) in
-        let block = Stat.Welford.create () in
-        for k = !i to !i + len - 1 do
-          Stat.Welford.add block xs.(k)
-        done;
-        merged := Stat.Welford.merge !merged block;
+        merged := Helpers.welford_merge !merged (Helpers.welford_of (Array.sub xs !i len));
         i := !i + len
       done;
       let close a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a) in
-      Stat.Welford.count !merged = Stat.Welford.count streaming
-      && close (Stat.Welford.mean !merged) (Stat.Welford.mean streaming)
-      && close (Stat.Welford.variance !merged) (Stat.Welford.variance streaming))
+      let count_m, mean_m, _ = !merged and count_s, mean_s, _ = streaming in
+      count_m = count_s
+      && close mean_m.(0) mean_s.(0)
+      && close (Helpers.welford_sigma !merged) (Helpers.welford_sigma streaming))
 
 let test_welford_merge_empty_sides () =
-  let w = Stat.Welford.create () in
-  List.iter (Stat.Welford.add w) [ 1.0; 2.0; 3.0 ];
-  let e = Stat.Welford.create () in
-  let le = Stat.Welford.merge e w and re = Stat.Welford.merge w e in
-  Alcotest.(check int) "left empty count" 3 (Stat.Welford.count le);
-  Helpers.check_float "left empty mean" 2.0 (Stat.Welford.mean le);
-  Helpers.check_float "right empty mean" 2.0 (Stat.Welford.mean re);
-  Helpers.check_float "variance survives" (Stat.Welford.variance w) (Stat.Welford.variance le)
+  (* the kernel never sees an empty partial: a non-positive count on
+     either side is rejected before any array is touched *)
+  List.iter
+    (fun (na, nb) ->
+      let mean_a = [| 2.0 |] and m2_a = [| 1.0 |] in
+      Alcotest.check_raises
+        (Printf.sprintf "merge na=%d nb=%d rejected" na nb)
+        (Invalid_argument "Kernel.Welford.merge: counts must be positive")
+        (fun () ->
+          Kernel.Welford.merge ~na ~nb ~mean_a ~m2_a ~mean_b:[| 5.0 |] ~m2_b:[| 3.0 |]);
+      Alcotest.(check (array (float 0.0))) "mean untouched" [| 2.0 |] mean_a;
+      Alcotest.(check (array (float 0.0))) "m2 untouched" [| 1.0 |] m2_a)
+    [ (0, 3); (3, 0); (0, 0); (-1, 3); (3, -2) ];
+  (* so the caller's empty side is a copy: the identity in both
+     directions, bit for bit *)
+  let w = Helpers.welford_of [| 1.0; 2.0; 4.0 |] in
+  let bits = Int64.bits_of_float in
+  let count, mean, m2 = w in
+  List.iter
+    (fun (side, ((count', mean', m2') as m)) ->
+      Alcotest.(check int) (side ^ " count") count count';
+      Alcotest.(check int64) (side ^ " mean bits") (bits mean.(0)) (bits mean'.(0));
+      Alcotest.(check int64) (side ^ " m2 bits") (bits m2.(0)) (bits m2'.(0));
+      Alcotest.(check int64) (side ^ " sigma bits")
+        (bits (Helpers.welford_sigma w))
+        (bits (Helpers.welford_sigma m)))
+    [
+      ("left identity", Helpers.welford_merge (Helpers.welford_of [||]) w);
+      ("right identity", Helpers.welford_merge w (Helpers.welford_of [||]));
+    ]
 
 let test_welford_empty_blocks () =
-  (* merging two empty (count = 0) partials stays empty with finite
-     moments — no NaN, no division by zero *)
-  let e = Stat.Welford.merge (Stat.Welford.create ()) (Stat.Welford.create ()) in
-  Alcotest.(check int) "empty+empty count" 0 (Stat.Welford.count e);
-  Alcotest.(check bool) "empty variance finite" true
-    (Float.is_finite (Stat.Welford.variance e));
-  Helpers.check_float "empty variance is zero" 0.0 (Stat.Welford.variance e);
-  Helpers.check_float "empty stddev is zero" 0.0 (Stat.Welford.stddev e);
-  (* the merged-empty accumulator is a working identity: feeding it
-     afterwards behaves exactly like a fresh accumulator *)
-  List.iter (Stat.Welford.add e) [ 2.0; 4.0 ];
-  Alcotest.(check int) "count after adds" 2 (Stat.Welford.count e);
-  Helpers.check_float "mean after adds" 3.0 (Stat.Welford.mean e);
-  Helpers.check_float "variance after adds" 2.0 (Stat.Welford.variance e);
-  (* merge with an empty block is the identity in both directions,
-     bit-for-bit *)
-  let w = Stat.Welford.create () in
-  List.iter (Stat.Welford.add w) [ 1.0; 2.0; 4.0 ];
-  let bits = Int64.bits_of_float in
+  (* fewer than two observations have no spread: sigma_into writes
+     zeros over whatever [dst] held, whatever [m2] says *)
   List.iter
-    (fun (side, m) ->
-      Alcotest.(check int) (side ^ " count") (Stat.Welford.count w) (Stat.Welford.count m);
-      Alcotest.(check int64) (side ^ " mean bits") (bits (Stat.Welford.mean w))
-        (bits (Stat.Welford.mean m));
-      Alcotest.(check int64) (side ^ " variance bits")
-        (bits (Stat.Welford.variance w))
-        (bits (Stat.Welford.variance m)))
-    [
-      ("left identity", Stat.Welford.merge (Stat.Welford.create ()) w);
-      ("right identity", Stat.Welford.merge w (Stat.Welford.create ()));
-    ]
+    (fun n ->
+      let dst = [| Float.nan; 7.0; -1.0 |] in
+      Kernel.Welford.sigma_into ~n ~m2:[| 3.0; Float.nan; -5.0 |] ~dst;
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "sigma at n=%d is all zero" n)
+        [| 0.0; 0.0; 0.0 |] dst)
+    [ 0; 1 ];
+  (* the first update from zeroed surfaces lands the sample exactly,
+     and later updates behave like a fresh accumulator *)
+  let one = Helpers.welford_of [| 2.5 |] in
+  let _, mean, m2 = one in
+  Helpers.check_float ~eps:0.0 "first update sets the mean" 2.5 mean.(0);
+  Helpers.check_float ~eps:0.0 "first update leaves m2 zero" 0.0 m2.(0);
+  let two = Helpers.welford_of [| 2.0; 4.0 |] in
+  let _, mean, _ = two in
+  Helpers.check_float "mean after two" 3.0 mean.(0);
+  Helpers.check_float "sigma after two" (sqrt 2.0) (Helpers.welford_sigma two)
 
 let test_welford_against_stat () =
   let rng = Rng.create 77 in
   let xs = Array.init 500 (fun _ -> Rng.gaussian rng ~mean:4.0 ~sigma:0.3) in
-  let w = Stat.Welford.create () in
-  Array.iter (Stat.Welford.add w) xs;
-  Helpers.check_float ~eps:1e-9 "mean" (Stat.mean xs) (Stat.Welford.mean w);
-  Helpers.check_float ~eps:1e-9 "variance" (Stat.variance xs) (Stat.Welford.variance w);
-  Helpers.check_float ~eps:1e-9 "stddev" (Stat.stddev xs) (Stat.Welford.stddev w)
+  let w = Helpers.welford_of xs in
+  let _, mean, _ = w in
+  Helpers.check_float ~eps:1e-9 "mean" (Stat.mean xs) mean.(0);
+  Helpers.check_float ~eps:1e-9 "stddev" (Stat.stddev xs) (Helpers.welford_sigma w)
 
 (* VARTUNE_JOBS precedence: explicit ~jobs wins, a well-formed env value
    is honoured, and zero/negative/garbage values are rejected (with a

@@ -305,6 +305,23 @@ let test_malformed_line_answered () =
       let s = Serve.stats h in
       Alcotest.(check int) "unparsable line counted as error" 1 s.Serve.errors)
 
+let test_corrupt_library_answered () =
+  with_serve "corrupt.sock" (fun socket _ ->
+      let client = Client.connect socket in
+      Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+      List.iteri
+        (fun i (label, src, _) ->
+          let file = in_temp (Printf.sprintf "corrupt_%d.lib" i) in
+          let oc = open_out_bin file in
+          output_string oc src;
+          close_out oc;
+          match Client.request client (Request.Parse { file }) with
+          | Ok resp ->
+            Alcotest.(check int) (label ^ " answered with 65") 65 resp.Response.code;
+            Alcotest.(check bool) (label ^ " carries a message") true (resp.Response.error <> None)
+          | Error e -> Alcotest.failf "%s: reply unreadable: %s" label e)
+        Helpers.corrupt_libraries)
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent identical requests under the fault harness               *)
 (* ------------------------------------------------------------------ *)
@@ -776,6 +793,8 @@ let () =
           Alcotest.test_case "GET endpoints return JSON" `Quick test_get_endpoints;
           Alcotest.test_case "malformed lines answered with 65" `Quick
             test_malformed_line_answered;
+          Alcotest.test_case "corrupt library Parse answered with 65" `Quick
+            test_corrupt_library_answered;
         ] );
       ( "bit-identity",
         [

@@ -23,24 +23,83 @@ let sample index =
 
 let first_arc lib name = List.hd (Cell.arcs (Library.find lib name))
 
-let test_merge_matches_manual () =
-  (* Welford accumulation must equal a direct mean/stddev over samples *)
-  let n = 8 in
-  let libs = List.init n sample in
-  let merged = Statistical.of_libraries libs in
-  let samples_at i j =
-    Array.of_list (List.map (fun lib -> Lut.get (first_arc lib "INV_2").Arc.rise_delay i j) libs)
-  in
-  let merged_arc = first_arc merged "INV_2" in
-  let sigma_lut = Option.get merged_arc.Arc.rise_delay_sigma in
-  for i = 0 to 7 do
-    for j = 0 to 7 do
-      let values = samples_at i j in
-      Helpers.check_float ~eps:1e-9 "mean entry" (Stat.mean values)
-        (Lut.get merged_arc.Arc.rise_delay i j);
-      Helpers.check_float ~eps:1e-9 "sigma entry" (Stat.stddev values) (Lut.get sigma_lut i j)
-    done
-  done
+(* The formula oracle.  Every entry of the four mean tables and the two
+   delay-sigma tables must equal the direct two-pass sample statistics
+   ([Stat.mean], [Stat.stddev]: sum / n, then squared deviations over
+   n - 1) of that entry across the N sample libraries, which share no
+   code with Kernel.Welford.  Bound: |merged - direct| <= 1e-12 *
+   max_i |x_i|, relative to the scale of the entry's samples, because a
+   mean near zero of larger samples cancels and is ill-conditioned
+   relative to itself.  The two schemes round differently by a few
+   2^-52 of that scale (under 1e-15 over 300 random seeds); a wrong
+   formula (a divisor of n instead of n - 1 moves sigma by 5% at n = 9)
+   misses by orders of magnitude.  Each seed checks [of_stream] at
+   jobs 1/2/7 and [of_libraries], at n = 1 (sigma exactly zero) and at
+   n = 5 and 9, which end in a ragged block.  3 seeds in tier-1, 300
+   under QCHECK_LONG. *)
+let oracle_rel = 1e-12
+
+let check_oracle ~label ~libs merged =
+  let per_sample = List.map (fun lib -> Array.of_list (Library.cells lib)) libs in
+  List.iteri
+    (fun ci (cell : Cell.t) ->
+      let sample_arcs = List.map (fun cells -> Array.of_list (Cell.arcs cells.(ci))) per_sample in
+      List.iteri
+        (fun ai (arc : Arc.t) ->
+          List.iter
+            (fun (name, table, sigma) ->
+              let mean_lut = table arc in
+              let rows, cols = Lut.dims mean_lut in
+              for i = 0 to rows - 1 do
+                for j = 0 to cols - 1 do
+                  let xs =
+                    Array.of_list (List.map (fun arcs -> Lut.get (table arcs.(ai)) i j) sample_arcs)
+                  in
+                  let scale = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 xs in
+                  let check what direct got =
+                    if not (Float.abs (got -. direct) <= oracle_rel *. scale) then
+                      QCheck2.Test.fail_reportf
+                        "%s, n=%d: %s arc %d %s (%d,%d) %s: merged %h, direct %h" label
+                        (List.length libs) cell.Cell.name ai name i j what got direct
+                  in
+                  check "mean" (Stat.mean xs) (Lut.get mean_lut i j);
+                  Option.iter
+                    (fun sigma_lut -> check "sigma" (Stat.stddev xs) (Lut.get sigma_lut i j))
+                    (sigma arc)
+                done
+              done)
+            Arc.
+              [
+                ("rise_delay", (fun a -> a.rise_delay), fun a -> a.rise_delay_sigma);
+                ("fall_delay", (fun a -> a.fall_delay), fun a -> a.fall_delay_sigma);
+                ("rise_transition", (fun a -> a.rise_transition), fun _ -> None);
+                ("fall_transition", (fun a -> a.fall_transition), fun _ -> None);
+              ])
+        (Cell.arcs cell))
+    (Library.cells merged)
+
+let test_merge_matches_manual =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3 ~long_factor:100 ~print:(Printf.sprintf "seed %d")
+       ~name:"matches manual stats" (QCheck2.Gen.int_range 0 10_000) (fun seed ->
+         let gen index =
+           Sampler.sample_library config ~mismatch ~seed ~index ~specs:inv_only ()
+         in
+         List.iter
+           (fun n ->
+             let libs = List.init n gen in
+             check_oracle ~label:"of_libraries" ~libs (Statistical.of_libraries libs);
+             List.iter
+               (fun jobs ->
+                 let pool = Vartune_util.Pool.create ~jobs () in
+                 Fun.protect
+                   ~finally:(fun () -> Vartune_util.Pool.shutdown pool)
+                   (fun () ->
+                     check_oracle ~label:(Printf.sprintf "of_stream jobs=%d" jobs) ~libs
+                       (Statistical.of_stream ~pool ~n gen)))
+               [ 1; 2; 7 ])
+           [ 1; 5; 9 ];
+         true))
 
 let test_stream_equals_list () =
   let n = 6 in
@@ -125,27 +184,6 @@ let test_mean_close_to_nominal () =
     done
   done
 
-let libraries_bit_identical a b =
-  List.for_all2
-    (fun (x : Cell.t) (y : Cell.t) ->
-      x.Cell.name = y.Cell.name
-      && List.for_all2
-           (fun (p : Arc.t) (q : Arc.t) ->
-             let same_opt u v =
-               match (u, v) with
-               | None, None -> true
-               | Some l, Some r -> Lut.equal ~eps:0.0 l r
-               | _ -> false
-             in
-             Lut.equal ~eps:0.0 p.Arc.rise_delay q.Arc.rise_delay
-             && Lut.equal ~eps:0.0 p.Arc.fall_delay q.Arc.fall_delay
-             && Lut.equal ~eps:0.0 p.Arc.rise_transition q.Arc.rise_transition
-             && Lut.equal ~eps:0.0 p.Arc.fall_transition q.Arc.fall_transition
-             && same_opt p.Arc.rise_delay_sigma q.Arc.rise_delay_sigma
-             && same_opt p.Arc.fall_delay_sigma q.Arc.fall_delay_sigma)
-           (Cell.arcs x) (Cell.arcs y))
-    (Library.cells a) (Library.cells b)
-
 let test_build_jobs_invariant =
   (* the tentpole determinism guarantee: every mean and sigma LUT entry
      of the parallel build is bit-for-bit the serial build's, for any
@@ -162,7 +200,7 @@ let test_build_jobs_invariant =
       in
       let serial = with_jobs 1 build in
       List.for_all
-        (fun jobs -> libraries_bit_identical serial (with_jobs jobs build))
+        (fun jobs -> Helpers.library_digest serial = Helpers.library_digest (with_jobs jobs build))
         [ 2; 7 ])
 
 let test_metadata_preserved () =
@@ -178,7 +216,7 @@ let () =
     [
       ( "merge",
         [
-          Alcotest.test_case "matches manual stats" `Quick test_merge_matches_manual;
+          test_merge_matches_manual;
           Alcotest.test_case "stream equals list" `Quick test_stream_equals_list;
           Alcotest.test_case "is_statistical" `Quick test_is_statistical;
           Alcotest.test_case "rejects bad input" `Quick test_merge_rejects_empty_and_mismatch;

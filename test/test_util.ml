@@ -282,40 +282,35 @@ let test_vec_iter_fold () =
 (* ------------------------- Welford clamp --------------------------- *)
 
 (* Streaming updates and pairwise merges over near-constant data can
-   cancel to a tiny negative M2; sigma must come out 0.0, never NaN. *)
-let welford_of array =
-  let w = Stat.Welford.create () in
-  Array.iter (Stat.Welford.add w) array;
-  w
-
+   cancel to a tiny negative M2; Kernel.Welford.sigma_into must give
+   0.0, never NaN. *)
 let test_welford_sigma_never_nan =
   QCheck.Test.make ~count:500 ~name:"welford sigma never NaN on near-constant data"
     QCheck.(
       triple (float_range 1e-9 1e9) (int_range 2 64) (int_range 0 1000))
     (fun (base, n, split) ->
       let data = Array.init n (fun i -> base *. (1.0 +. (float_of_int i *. 1e-16))) in
-      let direct = welford_of data in
+      let direct = Helpers.welford_of data in
       (* also exercise the pairwise merge at an arbitrary split point *)
       let k = split mod n in
       let merged =
-        Stat.Welford.merge
-          (welford_of (Array.sub data 0 k))
-          (welford_of (Array.sub data k (n - k)))
+        Helpers.welford_merge
+          (Helpers.welford_of (Array.sub data 0 k))
+          (Helpers.welford_of (Array.sub data k (n - k)))
       in
       List.for_all
         (fun w ->
-          let sigma = Stat.Welford.stddev w in
-          Stat.Welford.variance w >= 0.0 && (not (Float.is_nan sigma)) && sigma >= 0.0)
+          let sigma = Helpers.welford_sigma w in
+          (not (Float.is_nan sigma)) && sigma >= 0.0)
         [ direct; merged ])
 
 let test_welford_clamp_only_negatives () =
   (* clamping is for cancellation noise only: a genuine NaN input must
      still propagate rather than be laundered into 0 *)
-  let w = welford_of [| 1.0; Float.nan; 2.0 |] in
-  Alcotest.(check bool) "NaN data keeps NaN variance" true
-    (Float.is_nan (Stat.Welford.variance w));
-  let ok = welford_of [| 5.0; 5.0; 5.0 |] in
-  Alcotest.(check (float 0.0)) "constant data has zero sigma" 0.0 (Stat.Welford.stddev ok)
+  Alcotest.(check bool) "NaN data keeps NaN sigma" true
+    (Float.is_nan (Helpers.welford_sigma (Helpers.welford_of [| 1.0; Float.nan; 2.0 |])));
+  Alcotest.(check (float 0.0)) "constant data has zero sigma" 0.0
+    (Helpers.welford_sigma (Helpers.welford_of [| 5.0; 5.0; 5.0 |]))
 
 (* ------------------------ Pool env parsing ------------------------- *)
 
