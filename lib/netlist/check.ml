@@ -38,51 +38,58 @@ let validate_exn nl =
   | Error es -> failwith (String.concat "\n" es)
 
 (* Kahn's algorithm.  Edges run from a net's driver to its combinational
-   sinks; sequential sinks take data without constraining order. *)
+   sinks; sequential sinks take data without constraining order.  The
+   queue is one array: every instance is pushed exactly once, so the
+   pop sequence — the order — is the array itself. *)
 let topological_order nl =
   let n_insts =
     Netlist.fold_instances nl ~init:0 ~f:(fun acc inst -> max acc (inst.Netlist.inst_id + 1))
   in
-  let indegree = Array.make n_insts 0 in
+  (* tombstoned slots are neither live nor combinational *)
   let live = Array.make n_insts false in
-  Netlist.iter_instances nl ~f:(fun inst -> live.(inst.inst_id) <- true);
-  let comb inst_id =
-    match Netlist.instance_opt nl inst_id with
-    | Some inst -> not (Cell.is_sequential inst.cell)
-    | None -> false
+  let comb = Array.make n_insts false in
+  Netlist.iter_instances nl ~f:(fun inst ->
+      live.(inst.inst_id) <- true;
+      comb.(inst.inst_id) <- not (Cell.is_sequential inst.cell));
+  let indegree = Array.make n_insts 0 in
+  let rec count = function
+    | [] -> ()
+    | (r : Netlist.pin_ref) :: rest ->
+      if comb.(r.inst) then indegree.(r.inst) <- indegree.(r.inst) + 1;
+      count rest
   in
   Netlist.iter_nets nl ~f:(fun net ->
-      match net.Netlist.driver with
-      | None -> ()
-      | Some _ ->
-        List.iter
-          (fun (r : Netlist.pin_ref) -> if comb r.inst then indegree.(r.inst) <- indegree.(r.inst) + 1)
-          net.sinks);
-  let queue = Queue.create () in
+      match net.Netlist.driver with None -> () | Some _ -> count net.sinks);
+  let queue = Array.make n_insts 0 in
+  let tail = ref 0 in
   for i = 0 to n_insts - 1 do
-    if live.(i) && indegree.(i) = 0 then Queue.add i queue
+    if live.(i) && indegree.(i) = 0 then begin
+      queue.(!tail) <- i;
+      incr tail
+    end
   done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order := id :: !order;
-    incr seen;
-    let inst = Netlist.instance nl id in
-    List.iter
-      (fun (_, nid) ->
-        List.iter
-          (fun (r : Netlist.pin_ref) ->
-            if comb r.inst then begin
-              indegree.(r.inst) <- indegree.(r.inst) - 1;
-              if indegree.(r.inst) = 0 then Queue.add r.inst queue
-            end)
-          (Netlist.net nl nid).sinks)
-      inst.outputs
+  let rec release = function
+    | [] -> ()
+    | (r : Netlist.pin_ref) :: rest ->
+      if comb.(r.inst) then begin
+        indegree.(r.inst) <- indegree.(r.inst) - 1;
+        if indegree.(r.inst) = 0 then begin
+          queue.(!tail) <- r.inst;
+          incr tail
+        end
+      end;
+      release rest
+  in
+  let head = ref 0 in
+  while !head < !tail do
+    let inst = Netlist.instance nl queue.(!head) in
+    incr head;
+    List.iter (fun (_, nid) -> release (Netlist.net nl nid).sinks) inst.outputs
   done;
-  if !seen <> Netlist.instance_count nl then
-    raise (Combinational_loop (Printf.sprintf "%d instances unreached" (Netlist.instance_count nl - !seen)));
-  Array.of_list (List.rev !order)
+  let seen = !tail in
+  if seen <> Netlist.instance_count nl then
+    raise (Combinational_loop (Printf.sprintf "%d instances unreached" (Netlist.instance_count nl - seen)));
+  Array.sub queue 0 seen
 
 let logic_depths nl =
   let order = topological_order nl in

@@ -43,20 +43,6 @@ type endpoint_timing = {
 (* Levelized timing graph                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One evaluation unit per driven output pin, stored in topological
-   order (the level schedule).  Arcs and their resolved input nets are
-   flattened into arrays once at build time so the propagation loops
-   never walk association lists or pin records.  The [mutable] fields
-   are the ones a cell swap (Netlist.set_cell) refreshes in place. *)
-type eval = {
-  e_inst : Netlist.inst_id;
-  e_out_pin : string;
-  e_out_net : int;
-  e_seq : bool;
-  mutable e_arcs : Arc.t array;
-  mutable e_in_nets : int array;  (* per arc: input net id, -1 = unconnected *)
-}
-
 (* Endpoint slots are structural: which (instance, pin, net) triples
    and which primary outputs are checked.  The required values and the
    hold filter are re-read from the value arrays at each analysis. *)
@@ -64,23 +50,46 @@ type ep_slot =
   | Sreg of { inst : Netlist.inst_id; pin : string; net : int }
   | Spo of int
 
+(* One evaluation unit per driven output pin, stored in topological
+   order (the level schedule) as parallel arrays indexed by eval.  The
+   arcs of every eval are flattened into one slot range: eval [k] owns
+   slots [e_arc0.(k)] to [e_arc0.(k + 1) - 1], each slot holding the
+   arc and its resolved input net, so the propagation loops never walk
+   association lists or pin records.  [arcs] and [arc_in] are the
+   fields a cell swap (Netlist.set_cell) refreshes in place; a swap
+   that keeps the footprint keeps the slot count. *)
 type graph = {
   nl : Netlist.t;
   n_nets : int;
   n_insts : int;  (* live instances at build time, for edit detection *)
-  evals : eval array;  (* topological (level) order *)
-  eval_of_net : int array;  (* net -> driving eval index, -1 if undriven *)
-  fanout : int array array;  (* net -> eval indices reading it forward *)
-  consumers : (int * int) array array;
-      (* net -> (eval, arc) pairs contributing required times *)
-  inst_evals : (Netlist.inst_id, int list) Hashtbl.t;
+  e_inst : int array;
+  e_out_pin : string array;
+  e_out_net : int array;
+  e_seq : bool array;
+  e_arc0 : int array;  (* eval -> first arc slot; length evals + 1 *)
+  arcs : Arc.t array;  (* slot -> arc *)
+  arc_in : int array;  (* slot -> input net, -1 = unconnected *)
+  eval_of_net : int array;  (* net -> driving eval, -1 if undriven *)
+  inst_eval : int array;
+      (* instance id -> its first eval, -1 if none; an instance's evals
+         are consecutive in the level order *)
+  cons0 : int array;
+      (* CSR over nets (length nets + 1): entries [cons0.(n)] to
+         [cons0.(n + 1) - 1] are the combinational arcs reading net [n],
+         in ascending (eval, slot) order — the forward fanout and the
+         backward required-time contributions alike *)
+  cons_eval : int array;
+  cons_slot : int array;
   ep_slots : ep_slot array;
 }
 
+let n_evals g = Array.length g.e_out_net
+
 (* Structure-of-arrays timing state over the graph: one flat float
    array per quantity, indexed by net, plus the winning-arc index per
-   net for path backtracing.  [run] allocates it; [retime] updates it
-   in place. *)
+   net for path backtracing and the interpolated delay of every arc
+   slot, which the backward pass reads instead of interpolating again.
+   [run] allocates it; [retime] updates it in place. *)
 type t = {
   cfg : config;
   graph : graph;
@@ -89,8 +98,8 @@ type t = {
   slews : float array;
   requireds : float array;
   min_arrivals : float array;  (* earliest register-launched arrival *)
-  crit_idx : int array;  (* net -> winning arc index into driver's e_arcs *)
-  crit_delay : float array;  (* net -> winning arc's delay *)
+  crit_idx : int array;  (* net -> winning arc index within its driver's slots *)
+  arc_delay : float array;  (* slot -> delay at the current slew and load *)
   ep_seed : float array;  (* net -> tightest endpoint required, or inf *)
   (* Arc.eval_into scratch (delay, min_delay, transition, spare).  The
      analysis is single-domain — the pool parallelises across analyses,
@@ -130,8 +139,9 @@ let critical_input t inst ~out_pin =
         let k = t.graph.eval_of_net.(nid) in
         if ai < 0 || k < 0 then None
         else begin
-          let arc = t.graph.evals.(k).e_arcs.(ai) in
-          Some (arc.Arc.related_pin, arc, t.crit_delay.(nid))
+          let s = t.graph.e_arc0.(k) + ai in
+          let arc = t.graph.arcs.(s) in
+          Some (arc.Arc.related_pin, arc, t.arc_delay.(s))
         end
       end)
 
@@ -141,59 +151,118 @@ let endpoints t = t.eps
 (* Graph construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Cell.find_pin without the closure and option it allocates: the
+   graph build and the load sum ask once per pin connection.  [no_pin]
+   stands for "not found". *)
+let no_pin = Pin.input ~name:"" ~capacitance:0.0
+
+let rec pin_named name = function
+  | [] -> no_pin
+  | (p : Pin.t) :: rest -> if String.equal p.name name then p else pin_named name rest
+
+let output_pin (cell : Cell.t) name =
+  let p = pin_named name cell.pins in
+  if p != no_pin && p.Pin.direction = Pin.Output then p else no_pin
+
+let rec input_net pin = function
+  | [] -> -1
+  | (p, n) :: rest -> if String.equal p pin then n else input_net pin rest
+
+(* The build walks the netlist's lists through recursive helpers
+   defined once per build rather than List.iter closures allocated per
+   instance, and never allocates per net beyond the arrays it fills. *)
 let build_graph nl =
+  Obs.span "sta.build" @@ fun () ->
   let order = Check.topological_order nl in
   let n_nets = Netlist.net_count nl in
-  let inst_evals = Hashtbl.create 256 in
-  let evals_rev = ref [] in
-  let n_evals = ref 0 in
+  (* first pass: size the eval and slot arrays *)
+  let n_evals = ref 0 and n_slots = ref 0 and some_arc = ref None in
+  let rec count_outputs cell = function
+    | [] -> ()
+    | (name, _) :: rest ->
+      let p = output_pin cell name in
+      if p != no_pin then begin
+        incr n_evals;
+        n_slots := !n_slots + List.length p.Pin.arcs;
+        match (!some_arc, p.arcs) with None, a :: _ -> some_arc := Some a | _ -> ()
+      end;
+      count_outputs cell rest
+  in
+  let id_bound = ref 0 in
   Array.iter
-    (fun inst_id ->
-      let inst = Netlist.instance nl inst_id in
-      let cell = inst.Netlist.cell in
-      let seq = Cell.is_sequential cell in
-      List.iter
-        (fun (out_pin_name, out_net) ->
-          match Cell.find_pin cell out_pin_name with
-          | None | Some { Pin.direction = Pin.Input; _ } -> ()
-          | Some out_pin ->
-            let arcs = Array.of_list out_pin.Pin.arcs in
-            let in_nets =
-              Array.map
-                (fun (arc : Arc.t) ->
-                  match List.assoc_opt arc.related_pin inst.inputs with
-                  | Some n -> n
-                  | None -> -1)
-                arcs
-            in
-            let k = !n_evals in
-            incr n_evals;
-            evals_rev :=
-              { e_inst = inst_id; e_out_pin = out_pin_name; e_out_net = out_net;
-                e_seq = seq; e_arcs = arcs; e_in_nets = in_nets }
-              :: !evals_rev;
-            Hashtbl.replace inst_evals inst_id
-              (k :: (try Hashtbl.find inst_evals inst_id with Not_found -> [])))
-        inst.outputs)
+    (fun id ->
+      let inst = Netlist.instance nl id in
+      id_bound := max !id_bound (id + 1);
+      count_outputs inst.Netlist.cell inst.outputs)
     order;
-  let evals = Array.of_list (List.rev !evals_rev) in
+  let ne = !n_evals and ns = !n_slots in
+  let e_inst = Array.make ne 0 in
+  let e_out_pin = Array.make ne "" in
+  let e_out_net = Array.make ne 0 in
+  let e_seq = Array.make ne false in
+  let e_arc0 = Array.make (ne + 1) ns in
+  let arcs = match !some_arc with None -> [||] | Some a -> Array.make ns a in
+  let arc_in = Array.make ns (-1) in
+  let inst_eval = Array.make !id_bound (-1) in
+  (* second pass: fill them in level order *)
+  let k = ref 0 and s = ref 0 in
+  let rec fill_arcs inputs = function
+    | [] -> ()
+    | (arc : Arc.t) :: rest ->
+      arcs.(!s) <- arc;
+      arc_in.(!s) <- input_net arc.related_pin inputs;
+      incr s;
+      fill_arcs inputs rest
+  in
+  let rec fill_outputs (inst : Netlist.instance) seq = function
+    | [] -> ()
+    | (name, out_net) :: rest ->
+      let p = output_pin inst.cell name in
+      if p != no_pin then begin
+        if inst_eval.(inst.inst_id) < 0 then inst_eval.(inst.inst_id) <- !k;
+        e_inst.(!k) <- inst.inst_id;
+        e_out_pin.(!k) <- name;
+        e_out_net.(!k) <- out_net;
+        e_seq.(!k) <- seq;
+        e_arc0.(!k) <- !s;
+        fill_arcs inst.inputs p.Pin.arcs;
+        incr k
+      end;
+      fill_outputs inst seq rest
+  in
+  Array.iter
+    (fun id ->
+      let inst = Netlist.instance nl id in
+      fill_outputs inst (Cell.is_sequential inst.cell) inst.outputs)
+    order;
   let eval_of_net = Array.make n_nets (-1) in
-  let fanout_rev = Array.make n_nets [] in
-  let consumers_rev = Array.make n_nets [] in
-  Array.iteri
-    (fun k e ->
-      eval_of_net.(e.e_out_net) <- k;
-      if not e.e_seq then
-        Array.iteri
-          (fun ai innet ->
-            if innet >= 0 then begin
-              fanout_rev.(innet) <- k :: fanout_rev.(innet);
-              consumers_rev.(innet) <- (k, ai) :: consumers_rev.(innet)
-            end)
-          e.e_in_nets)
-    evals;
-  let fanout = Array.map (fun l -> Array.of_list (List.rev l)) fanout_rev in
-  let consumers = Array.map (fun l -> Array.of_list (List.rev l)) consumers_rev in
+  let cons0 = Array.make (n_nets + 1) 0 in
+  for k = 0 to ne - 1 do
+    eval_of_net.(e_out_net.(k)) <- k;
+    if not e_seq.(k) then
+      for s = e_arc0.(k) to e_arc0.(k + 1) - 1 do
+        let innet = arc_in.(s) in
+        if innet >= 0 then cons0.(innet + 1) <- cons0.(innet + 1) + 1
+      done
+  done;
+  for n = 1 to n_nets do
+    cons0.(n) <- cons0.(n) + cons0.(n - 1)
+  done;
+  let cons_eval = Array.make cons0.(n_nets) 0 in
+  let cons_slot = Array.make cons0.(n_nets) 0 in
+  let next = Array.sub cons0 0 n_nets in
+  for k = 0 to ne - 1 do
+    if not e_seq.(k) then
+      for s = e_arc0.(k) to e_arc0.(k + 1) - 1 do
+        let innet = arc_in.(s) in
+        if innet >= 0 then begin
+          let c = next.(innet) in
+          cons_eval.(c) <- k;
+          cons_slot.(c) <- s;
+          next.(innet) <- c + 1
+        end
+      done
+  done;
   (* endpoint slots in the order endpoint lists are reported: register
      data pins in instance order, then primary outputs *)
   let slots = ref [] in
@@ -209,13 +278,31 @@ let build_graph nl =
     nl;
     n_nets;
     n_insts = Netlist.instance_count nl;
-    evals;
+    e_inst;
+    e_out_pin;
+    e_out_net;
+    e_seq;
+    e_arc0;
+    arcs;
+    arc_in;
     eval_of_net;
-    fanout;
-    consumers;
-    inst_evals;
+    inst_eval;
+    cons0;
+    cons_eval;
+    cons_slot;
     ep_slots = Array.of_list (List.rev !slots);
   }
+
+(* The evals of one instance: consecutive from [inst_eval]. *)
+let iter_inst_evals g inst_id f =
+  if inst_id >= 0 && inst_id < Array.length g.inst_eval then begin
+    let k = ref g.inst_eval.(inst_id) in
+    if !k >= 0 then
+      while !k < n_evals g && g.e_inst.(!k) = inst_id do
+        f !k;
+        incr k
+      done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-net load                                                        *)
@@ -226,16 +313,17 @@ let build_graph nl =
    in the net's sink-list order either way. *)
 let compute_net_load cfg nl ~is_po (net : Netlist.net) =
   let nid = net.Netlist.net_id in
-  let sink_caps =
-    List.fold_left
-      (fun acc (r : Netlist.pin_ref) ->
-        let inst = Netlist.instance nl r.inst in
-        match Cell.find_pin inst.cell r.pin with
-        | Some p -> acc +. p.Pin.capacitance
-        | None -> acc)
-      0.0 net.sinks
-  in
-  let n_sinks = List.length net.sinks in
+  let sink_caps = ref 0.0 and n_sinks = ref 0 and rest = ref net.sinks in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | (r : Netlist.pin_ref) :: tl ->
+      let p = pin_named r.pin (Netlist.instance nl r.inst).cell.Cell.pins in
+      if p != no_pin then sink_caps := !sink_caps +. p.Pin.capacitance;
+      incr n_sinks;
+      rest := tl
+  done;
+  let n_sinks = !n_sinks in
   let wire =
     if n_sinks = 0 then 0.0
     else
@@ -243,13 +331,14 @@ let compute_net_load cfg nl ~is_po (net : Netlist.net) =
       | Some f -> f nid
       | None -> cfg.wire_cap_base +. (cfg.wire_cap_per_sink *. float_of_int n_sinks)
   in
-  let external_load = if is_po nid then cfg.output_load else 0.0 in
-  sink_caps +. wire +. external_load
+  let external_load = if is_po.(nid) then cfg.output_load else 0.0 in
+  !sink_caps +. wire +. external_load
 
-let po_table nl =
-  let po = Hashtbl.create 16 in
-  List.iter (fun nid -> Hashtbl.replace po nid ()) (Netlist.primary_outputs nl);
-  fun nid -> Hashtbl.mem po nid
+(* net -> is a primary output, read afresh from the netlist *)
+let po_flags nl =
+  let po = Array.make (Netlist.net_count nl) false in
+  List.iter (fun nid -> po.(nid) <- true) (Netlist.primary_outputs nl);
+  po
 
 (* ------------------------------------------------------------------ *)
 (* Node evaluation (shared by full run and retime)                     *)
@@ -261,16 +350,20 @@ let c_node_evals = Obs.Counter.make "sta.node_evals"
 let c_required_evals = Obs.Counter.make "sta.required_evals"
 
 (* Forward evaluation of one node: fused arrival/slew (late) and
-   min-arrival (hold) propagation over the node's arcs.  Pure in the
-   upstream arrays, so re-evaluating with unchanged inputs reproduces
-   the stored values bit-for-bit — the invariant [retime] rests on. *)
+   min-arrival (hold) propagation over the node's arcs, recording each
+   arc's delay in its slot.  Pure in the upstream arrays, so
+   re-evaluating with unchanged inputs reproduces the stored values
+   bit-for-bit — the invariant [retime] rests on.  The three input
+   values are read separately rather than as one tuple: without
+   flambda a tuple of floats is allocated (and its floats boxed) on
+   every arc. *)
 let eval_forward t k =
   Obs.Counter.incr c_node_evals;
-  let e = Array.unsafe_get t.graph.evals k in
-  let out = e.e_out_net in
-  let arcs = e.e_arcs in
-  let n = Array.length arcs in
-  if n = 0 then begin
+  let g = t.graph in
+  let out = Array.unsafe_get g.e_out_net k in
+  let s0 = Array.unsafe_get g.e_arc0 k in
+  let s1 = Array.unsafe_get g.e_arc0 (k + 1) in
+  if s0 = s1 then begin
     (* tie cells: constant output, clean edge, no hold constraint *)
     t.arrivals.(out) <- 0.0;
     t.slews.(out) <- t.cfg.input_slew;
@@ -278,62 +371,65 @@ let eval_forward t k =
     t.crit_idx.(out) <- -1
   end
   else begin
+    let seq = Array.unsafe_get g.e_seq k in
     let load = t.loads.(out) in
     let best = ref neg_infinity in
     let best_slew = ref 0.0 in
     let best_idx = ref (-1) in
-    let best_delay = ref 0.0 in
     let mina = ref infinity in
-    for ai = 0 to n - 1 do
-      let arc = Array.unsafe_get arcs ai in
-      let innet = Array.unsafe_get e.e_in_nets ai in
-      let in_arrival, in_slew, in_min =
-        if e.e_seq then (0.0, t.cfg.clock_slew, 0.0)
-        else if innet < 0 then (0.0, t.cfg.input_slew, infinity)
-        else
-          ( Array.unsafe_get t.arrivals innet,
-            Array.unsafe_get t.slews innet,
-            Array.unsafe_get t.min_arrivals innet )
+    for s = s0 to s1 - 1 do
+      let innet = Array.unsafe_get g.arc_in s in
+      let in_slew =
+        if seq then t.cfg.clock_slew
+        else if innet < 0 then t.cfg.input_slew
+        else Array.unsafe_get t.slews innet
       in
       (* One fused segment search yields delay, min_delay and
          transition together (the arc's tables share axes); each value
          is bit-identical to the scalar Arc.delay/min_delay/transition
-         queries this loop used to make. *)
-      Arc.eval_into arc ~slew:in_slew ~load ~out:t.arc_out;
+         queries. *)
+      Arc.eval_into (Array.unsafe_get g.arcs s) ~slew:in_slew ~load ~out:t.arc_out;
       let delay = Array.unsafe_get t.arc_out 0 in
-      let out_slew = Array.unsafe_get t.arc_out 2 in
-      if in_arrival +. delay > !best then begin
-        best := in_arrival +. delay;
-        best_idx := ai;
-        best_delay := delay
+      Array.unsafe_set t.arc_delay s delay;
+      let arrival =
+        (if seq || innet < 0 then 0.0 else Array.unsafe_get t.arrivals innet) +. delay
+      in
+      if arrival > !best then begin
+        best := arrival;
+        best_idx := s - s0
       end;
+      let out_slew = Array.unsafe_get t.arc_out 2 in
       if out_slew > !best_slew then best_slew := out_slew;
+      let in_min =
+        if seq then 0.0
+        else if innet < 0 then infinity
+        else Array.unsafe_get t.min_arrivals innet
+      in
       if in_min < infinity then begin
-        let d = Array.unsafe_get t.arc_out 1 in
-        if in_min +. d < !mina then mina := in_min +. d
+        let m = in_min +. Array.unsafe_get t.arc_out 1 in
+        if m < !mina then mina := m
       end
     done;
     t.arrivals.(out) <- !best;
     t.slews.(out) <- !best_slew;
     t.min_arrivals.(out) <- !mina;
-    t.crit_idx.(out) <- !best_idx;
-    t.crit_delay.(out) <- !best_delay
+    t.crit_idx.(out) <- !best_idx
   end
 
 (* Required time of one net, recomputed from scratch: the tightest
-   endpoint seed on the net, tightened by every consuming arc.  Also
-   pure in (ep_seed, slews, loads, downstream requireds). *)
+   endpoint seed on the net, tightened by every consuming arc.  A
+   consumer's delay is the one its forward evaluation stored: it was
+   interpolated at this net's slew and the consumer's load, the same
+   query as Arc.delay, so the result is pure in (ep_seed, slews,
+   loads, downstream requireds) exactly as if re-interpolated. *)
 let required_of_net t nid =
   Obs.Counter.incr c_required_evals;
-  let cons = t.graph.consumers.(nid) in
+  let g = t.graph in
   let r = ref t.ep_seed.(nid) in
-  let slew = t.slews.(nid) in
-  for c = 0 to Array.length cons - 1 do
-    let k, ai = Array.unsafe_get cons c in
-    let e = Array.unsafe_get t.graph.evals k in
-    let arc = Array.unsafe_get e.e_arcs ai in
-    let delay = Arc.delay arc ~slew ~load:t.loads.(e.e_out_net) in
-    r := Float.min !r (t.requireds.(e.e_out_net) -. delay)
+  for c = g.cons0.(nid) to g.cons0.(nid + 1) - 1 do
+    let out = Array.unsafe_get g.e_out_net (Array.unsafe_get g.cons_eval c) in
+    let delay = Array.unsafe_get t.arc_delay (Array.unsafe_get g.cons_slot c) in
+    r := Float.min !r (Array.unsafe_get t.requireds out -. delay)
   done;
   !r
 
@@ -396,14 +492,10 @@ let rebuild_endpoint_lists t =
 
 let analyse_full t =
   let g = t.graph in
-  let is_po = po_table g.nl in
+  let is_po = po_flags g.nl in
   Netlist.iter_nets g.nl ~f:(fun net ->
       t.loads.(net.Netlist.net_id) <- compute_net_load t.cfg g.nl ~is_po net);
-  Array.fill t.arrivals 0 g.n_nets 0.0;
-  Array.fill t.slews 0 g.n_nets t.cfg.input_slew;
-  Array.fill t.min_arrivals 0 g.n_nets infinity;
-  Array.fill t.crit_idx 0 g.n_nets (-1);
-  let nevals = Array.length g.evals in
+  let nevals = n_evals g in
   (* one span over the whole sweep, not per lookup: eval_forward runs
      millions of times and a span each would swamp the trace.  The GC
      delta attributed here is the LUT-interpolation allocation cost. *)
@@ -419,7 +511,7 @@ let analyse_full t =
      net; driverless nets (primary inputs) follow, depending only on
      already-settled downstream requireds *)
   for k = nevals - 1 downto 0 do
-    let out = g.evals.(k).e_out_net in
+    let out = g.e_out_net.(k) in
     t.requireds.(out) <- required_of_net t out
   done;
   for nid = 0 to g.n_nets - 1 do
@@ -444,7 +536,7 @@ let run cfg nl =
       requireds = Array.make n infinity;
       min_arrivals = Array.make n infinity;
       crit_idx = Array.make n (-1);
-      crit_delay = Array.make n 0.0;
+      arc_delay = Array.make (Array.length graph.arcs) 0.0;
       ep_seed = Array.make n infinity;
       arc_out = Array.make 4 0.0;
       eps = [];
@@ -460,31 +552,39 @@ let run cfg nl =
 
 (* A changed instance is refreshable in place when its footprint still
    matches the graph: same pins, same sequential kind, and arcs whose
-   related-pin sequence lines up with the consumer edges built from the
-   old cell.  Family ladders satisfy this; anything else falls back to
-   a full rebuild. *)
+   related-pin sequence lines up with the slots built from the old
+   cell.  Family ladders satisfy this; anything else falls back to a
+   full rebuild. *)
+let rec same_related_pins g s = function
+  | [] -> true
+  | (a : Arc.t) :: rest ->
+    String.equal a.related_pin g.arcs.(s).Arc.related_pin && same_related_pins g (s + 1) rest
+
 let refreshable g inst_id =
   match Netlist.instance_opt g.nl inst_id with
   | None -> false
   | Some inst ->
     let cell = inst.Netlist.cell in
-    List.for_all
-      (fun k ->
-        let e = g.evals.(k) in
-        e.e_seq = Cell.is_sequential cell
-        &&
-        match Cell.find_pin cell e.e_out_pin with
-        | None | Some { Pin.direction = Pin.Input; _ } -> false
-        | Some out_pin ->
-          let arcs = out_pin.Pin.arcs in
-          List.length arcs = Array.length e.e_arcs
-          && List.for_all2
-               (fun (a : Arc.t) (b : Arc.t) -> a.related_pin = b.related_pin)
-               arcs
-               (Array.to_list e.e_arcs))
-      (try Hashtbl.find g.inst_evals inst_id with Not_found -> [])
+    let ok = ref true in
+    iter_inst_evals g inst_id (fun k ->
+        ok :=
+          !ok
+          && g.e_seq.(k) = Cell.is_sequential cell
+          &&
+          let out_pin = output_pin cell g.e_out_pin.(k) in
+          out_pin != no_pin
+          && List.length out_pin.Pin.arcs = g.e_arc0.(k + 1) - g.e_arc0.(k)
+          && same_related_pins g g.e_arc0.(k) out_pin.Pin.arcs);
+    !ok
 
 let bits = Int64.bits_of_float
+
+(* mark every net eval [k]'s arcs read for a required-time refresh *)
+let mark_inputs g breq k =
+  for s = g.e_arc0.(k) to g.e_arc0.(k + 1) - 1 do
+    let innet = g.arc_in.(s) in
+    if innet >= 0 then breq.(innet) <- true
+  done
 
 let retime t ~changed =
   let g = t.graph in
@@ -499,36 +599,28 @@ let retime t ~changed =
       ~attrs:(fun () -> [ ("changed", string_of_int (List.length changed)) ])
     @@ fun () ->
     Obs.Counter.incr c_retimes;
-    let nevals = Array.length g.evals in
+    let nevals = n_evals g in
     let fwd_dirty = Array.make nevals false in
     let breq = Array.make g.n_nets false in
-    let is_po = po_table nl in
+    let is_po = po_flags nl in
     let seen = Hashtbl.create 16 in
     List.iter
       (fun inst_id ->
         if not (Hashtbl.mem seen inst_id) then begin
           Hashtbl.replace seen inst_id ();
           let inst = Netlist.instance nl inst_id in
-          let cell = inst.Netlist.cell in
-          (* refresh the instance's evaluation units from the new cell *)
-          List.iter
-            (fun k ->
-              let e = g.evals.(k) in
-              (match Cell.find_pin cell e.e_out_pin with
-              | Some out_pin when out_pin.Pin.direction <> Pin.Input ->
-                e.e_arcs <- Array.of_list out_pin.Pin.arcs;
-                e.e_in_nets <-
-                  Array.map
-                    (fun (arc : Arc.t) ->
-                      match List.assoc_opt arc.Arc.related_pin inst.inputs with
-                      | Some n -> n
-                      | None -> -1)
-                    e.e_arcs
-              | _ -> assert false (* excluded by [refreshable] *));
+          (* refresh the instance's arc slots from the new cell *)
+          iter_inst_evals g inst_id (fun k ->
+              (* [refreshable] vouched for the pin and its arc count *)
+              List.iteri
+                (fun i (arc : Arc.t) ->
+                  let s = g.e_arc0.(k) + i in
+                  g.arcs.(s) <- arc;
+                  g.arc_in.(s) <- input_net arc.related_pin inst.inputs)
+                (output_pin inst.Netlist.cell g.e_out_pin.(k)).Pin.arcs;
               fwd_dirty.(k) <- true;
               (* new arcs change this node's required contributions *)
-              Array.iter (fun innet -> if innet >= 0 then breq.(innet) <- true) e.e_in_nets)
-            (try Hashtbl.find g.inst_evals inst_id with Not_found -> []);
+              mark_inputs g breq k);
           (* the new cell's input pin capacitances change the loads of
              the nets feeding this instance *)
           List.iter
@@ -537,16 +629,13 @@ let retime t ~changed =
               let fresh = compute_net_load t.cfg nl ~is_po (Netlist.net nl nid) in
               if bits fresh <> bits old then begin
                 t.loads.(nid) <- fresh;
-                (match g.eval_of_net.(nid) with
+                match g.eval_of_net.(nid) with
                 | -1 -> ()
                 | k ->
                   fwd_dirty.(k) <- true;
                   (* a load change shifts the driver's arc delays, and
                      with them its required contributions upstream *)
-                  if not g.evals.(k).e_seq then
-                    Array.iter
-                      (fun innet -> if innet >= 0 then breq.(innet) <- true)
-                      g.evals.(k).e_in_nets)
+                  if not g.e_seq.(k) then mark_inputs g breq k
               end)
             inst.inputs
         end)
@@ -557,7 +646,7 @@ let retime t ~changed =
        allow *)
     for k = 0 to nevals - 1 do
       if fwd_dirty.(k) then begin
-        let out = g.evals.(k).e_out_net in
+        let out = g.e_out_net.(k) in
         let oa = t.arrivals.(out) and os = t.slews.(out) and om = t.min_arrivals.(out) in
         eval_forward t k;
         let slew_changed = bits os <> bits t.slews.(out) in
@@ -566,7 +655,10 @@ let retime t ~changed =
           slew_changed
           || bits oa <> bits t.arrivals.(out)
           || bits om <> bits t.min_arrivals.(out)
-        then Array.iter (fun k' -> fwd_dirty.(k') <- true) g.fanout.(out)
+        then
+          for c = g.cons0.(out) to g.cons0.(out + 1) - 1 do
+            fwd_dirty.(g.cons_eval.(c)) <- true
+          done
       end
     done;
     (* required-time fan-in: endpoint seeds that moved (a sequential
@@ -577,14 +669,12 @@ let retime t ~changed =
       if bits old_seed.(nid) <> bits t.ep_seed.(nid) then breq.(nid) <- true
     done;
     for k = nevals - 1 downto 0 do
-      let e = g.evals.(k) in
-      let out = e.e_out_net in
+      let out = g.e_out_net.(k) in
       if breq.(out) then begin
         let old = t.requireds.(out) in
         let fresh = required_of_net t out in
         t.requireds.(out) <- fresh;
-        if bits old <> bits fresh && not e.e_seq then
-          Array.iter (fun innet -> if innet >= 0 then breq.(innet) <- true) e.e_in_nets
+        if bits old <> bits fresh && not g.e_seq.(k) then mark_inputs g breq k
       end
     done;
     for nid = 0 to g.n_nets - 1 do

@@ -136,8 +136,12 @@ let recall m kind id =
         if Option.is_some v then touch m id e;
         v)
 
+(* An entry over half the budget is not admitted: one such artifact
+   would otherwise evict everything else, and a sweep that computes a
+   large run per request would flush the values every request shares
+   (the statistical library) each time. *)
 let remember m kind id v ~size =
-  if size <= memory_budget then
+  if size <= memory_budget / 2 then
     Mutex.protect m.lock (fun () ->
         forget m id;
         let e = { value = kind.inj v; size; stamp = 0 } in

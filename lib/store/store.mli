@@ -53,7 +53,8 @@
     least-recently-used table keyed by {!Key.id}, guarded by one mutex,
     and limited to {!memory_budget} bytes of encoded payload: each
     entry is charged the length of the payload its disk entry holds,
-    and an artifact larger than the budget is never kept.  Only
+    and an artifact larger than half the budget is never kept, so no
+    single artifact can flush the table.  Only
     {!fetch} uses it; {!load}, {!save} and their [_result] forms stay
     disk-only.  A new {!open_dir} handle starts empty, and there is no
     table shared between handles.  A degraded handle neither consults

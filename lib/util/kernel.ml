@@ -90,8 +90,11 @@ module Bilinear = struct
   (* Index of the lower end of the axis segment bracketing [x];
      out-of-range queries use the outermost segment, which the weight
      formula turns into linear extrapolation.  Same answers as the
-     recursive binary search it replaced, without the call frames. *)
-  let segment axis x =
+     recursive binary search it replaced, without the call frames.  The
+     annotation is load-bearing: left polymorphic, every axis read
+     boxed a float and every comparison went through the generic
+     compare. *)
+  let segment (axis : float array) (x : float) =
     let n = Array.length axis in
     if n = 1 then 0
     else if x <= Array.unsafe_get axis 0 then 0

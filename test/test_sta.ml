@@ -508,6 +508,245 @@ let test_retime_fewer_evals () =
         true
         (retime_evals > 0 && retime_evals <= 6))
 
+(* --------------------------- independent oracle -------------------- *)
+
+(* A naive reference for arrivals, slews and min-arrivals, written from
+   the delay model alone: memoised recursion from each net back through
+   its driver's arcs, scalar Arc.delay / Arc.min_delay / Arc.transition
+   queries, and loads summed over the net's sinks in sink-list order.
+   It shares no code with Timing's graph build, level order or load
+   refresh. *)
+let reference_timing (cfg : Timing.config) nl =
+  let pin_of (cell : Cell.t) name =
+    List.find_opt (fun (p : Pin.t) -> p.Pin.name = name) cell.Cell.pins
+  in
+  let pos = Netlist.primary_outputs nl in
+  let load nid =
+    let net = Netlist.net nl nid in
+    let caps =
+      List.fold_left
+        (fun acc (r : Netlist.pin_ref) ->
+          match pin_of (Netlist.instance nl r.inst).Netlist.cell r.pin with
+          | Some p -> acc +. p.Pin.capacitance
+          | None -> acc)
+        0.0 net.Netlist.sinks
+    in
+    let n = List.length net.sinks in
+    let wire =
+      if n = 0 then 0.0
+      else cfg.Timing.wire_cap_base +. (cfg.wire_cap_per_sink *. float_of_int n)
+    in
+    caps +. wire +. if List.mem nid pos then cfg.output_load else 0.0
+  in
+  let memo = Hashtbl.create 64 in
+  let rec node nid =
+    match Hashtbl.find_opt memo nid with
+    | Some v -> v
+    | None ->
+      let source = (0.0, cfg.input_slew, infinity) in
+      let v =
+        match (Netlist.net nl nid).Netlist.driver with
+        | None -> source
+        | Some r -> (
+          let inst = Netlist.instance nl r.inst in
+          match pin_of inst.cell r.pin with
+          | None | Some { Pin.arcs = []; _ } -> source
+          | Some out ->
+            let ld = load nid in
+            let seq = Cell.is_sequential inst.cell in
+            List.fold_left
+              (fun (arr, slew, mn) (arc : Arc.t) ->
+                let ia, is, im =
+                  if seq then (0.0, cfg.clock_slew, 0.0)
+                  else
+                    match List.assoc_opt arc.Arc.related_pin inst.inputs with
+                    | None -> source
+                    | Some n -> node n
+                in
+                ( Float.max arr (ia +. Arc.delay arc ~slew:is ~load:ld),
+                  Float.max slew (Arc.transition arc ~slew:is ~load:ld),
+                  if im < infinity then Float.min mn (im +. Arc.min_delay arc ~slew:is ~load:ld)
+                  else mn ))
+              (neg_infinity, 0.0, infinity) out.arcs)
+      in
+      Hashtbl.replace memo nid v;
+      v
+  in
+  fun nid -> (load nid, node nid)
+
+(* Structural edits of the kinds the sizer makes, on a random DAG:
+   tombstoning an instance, inserting a buffer and moving some of a
+   net's sinks behind it, adding a gate (single- or multi-output, or a
+   tie cell, some inputs possibly unconnected) on fresh nets, and
+   moving an input onto a new primary input.  Every edit keeps the
+   logic acyclic. *)
+let structural_edit rng nl =
+  let pick xs = List.nth xs (Rng.int rng (List.length xs)) in
+  let live = Netlist.fold_instances nl ~init:[] ~f:(fun acc i -> i :: acc) in
+  let clock = Netlist.clock nl in
+  let data_nets =
+    List.filter
+      (fun nid -> Some nid <> clock)
+      (List.init (Netlist.net_count nl) Fun.id)
+  in
+  match Rng.int rng 4 with
+  | 0 -> (
+    match live with [] -> () | _ -> Netlist.remove_instance nl (pick live).Netlist.inst_id)
+  | 1 -> (
+    let sunk =
+      List.filter (fun nid -> (Netlist.net nl nid).Netlist.sinks <> []) data_nets
+    in
+    match sunk with
+    | [] -> ()
+    | _ ->
+      let nid = pick sunk in
+      let sinks = (Netlist.net nl nid).Netlist.sinks in
+      let b = Netlist.add_net nl () in
+      ignore
+        (Netlist.add_instance nl
+           ~inst_name:(Netlist.fresh_name nl ~prefix:"buf")
+           ~cell:(Library.find lib (pick [ "BUF_2"; "BUF_4"; "BUF_8" ]))
+           ~inputs:[ ("A", nid) ]
+           ~outputs:[ ("Z", b) ]);
+      List.iter
+        (fun (r : Netlist.pin_ref) ->
+          if Rng.int rng 2 = 0 then Netlist.rewire_input nl ~inst:r.inst ~pin:r.pin b)
+        sinks)
+  | 2 ->
+    let cell =
+      Library.find lib (pick [ "INV_2"; "ND2_1"; "XO2_1"; "FA1_1"; "MU2_1"; "TIE0_1" ])
+    in
+    (* an input left unconnected reads as a primary input *)
+    let inputs =
+      List.filter_map
+        (fun p -> if Rng.int rng 5 = 0 then None else Some (p, pick data_nets))
+        (Cell.data_input_names cell)
+    in
+    let outputs =
+      List.map (fun (p : Pin.t) -> (p.Pin.name, Netlist.add_net nl ())) (Cell.output_pins cell)
+    in
+    ignore
+      (Netlist.add_instance nl
+         ~inst_name:(Netlist.fresh_name nl ~prefix:"add")
+         ~cell ~inputs ~outputs);
+    if Rng.int rng 2 = 0 then Netlist.mark_primary_output nl (snd (pick outputs))
+  | _ -> (
+    let comb =
+      List.filter
+        (fun i -> (not (Cell.is_sequential i.Netlist.cell)) && i.Netlist.inputs <> [])
+        live
+    in
+    match comb with
+    | [] -> ()
+    | _ ->
+      let inst = pick comb in
+      let pi = Netlist.add_net nl () in
+      Netlist.mark_primary_input nl pi;
+      Netlist.rewire_input nl ~inst:inst.inst_id ~pin:(fst (pick inst.inputs)) pi)
+
+let test_run_matches_reference =
+  Helpers.qtest ~count:40 "run = naive reference under structural edits"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nl, _ = random_dag rng in
+      for _ = 1 to 1 + Rng.int rng 8 do
+        structural_edit rng nl
+      done;
+      let t = Timing.run config nl in
+      let reference = reference_timing config nl in
+      for nid = 0 to Netlist.net_count nl - 1 do
+        let load, (arrival, slew, min_arrival) = reference nid in
+        let check what got want =
+          if bits got <> bits want then
+            QCheck2.Test.fail_reportf "seed %d: net %d %s: %h <> reference %h" seed nid what
+              got want
+        in
+        check "load" (Timing.net_load t nid) load;
+        check "arrival" (Timing.net_arrival t nid) arrival;
+        check "slew" (Timing.net_slew t nid) slew;
+        check "min_arrival" (Timing.net_min_arrival t nid) min_arrival
+      done;
+      true)
+
+(* --------------------------- golden digests ----------------------- *)
+
+(* MD5 over every observable of an analysis, bit for bit: per net its
+   load, arrival, slew, required and min-arrival bits and its driver's
+   winning arc (related pin and delay bits, which fix the arc index);
+   then every setup and hold endpoint's arrival, required and slack. *)
+let sta_digest nl t =
+  let b = Buffer.create (1 lsl 16) in
+  let add x = Buffer.add_int64_le b (bits x) in
+  for nid = 0 to Netlist.net_count nl - 1 do
+    add (Timing.net_load t nid);
+    add (Timing.net_arrival t nid);
+    add (Timing.net_slew t nid);
+    add (Timing.net_required t nid);
+    add (Timing.net_min_arrival t nid);
+    match (Netlist.net nl nid).Netlist.driver with
+    | None -> Buffer.add_char b '-'
+    | Some r -> (
+      match Timing.critical_input t r.Netlist.inst ~out_pin:r.pin with
+      | None -> Buffer.add_char b '.'
+      | Some (pin, _, delay) ->
+        Buffer.add_string b pin;
+        Buffer.add_char b '\000';
+        add delay)
+  done;
+  let add_eps eps =
+    List.iter
+      (fun (ep : Timing.endpoint_timing) ->
+        add ep.Timing.arrival;
+        add ep.required;
+        add ep.slack)
+      eps
+  in
+  add_eps (Timing.endpoints t);
+  Buffer.add_char b '|';
+  add_eps (Timing.hold_endpoints t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+module Characterize = Vartune_charlib.Characterize
+module Synth = Vartune_synth
+
+let full_lib = lazy (Characterize.nominal Characterize.default_config)
+
+(* The microcontroller mapped as Synthesis.min_period maps it (at its
+   default upper period, no area recovery), exported so every probe
+   sizes a fresh copy. *)
+let mcu_mapped =
+  lazy
+    (let lib = Lazy.force full_lib in
+     let cons = Synth.Constraints.make ~clock_period:20.0 ~area_recovery:false () in
+     Netlist.export (Synth.Mapper.map cons lib (Vartune_rtl.Microcontroller.generate ())))
+
+(* Recorded before the timing graph moved to flat arrays; a change to
+   the propagation, the load model or the graph build that moves any
+   bit fails here. *)
+let test_golden_mapped () =
+  let nl = Netlist.import (Lazy.force mcu_mapped) in
+  let t = Timing.run (Timing.default_config ~clock_period:20.0) nl in
+  Alcotest.(check string) "mapped mcu @ 20 ns" "b8ca158034507c0bd4e0e658ffa370cb" (sta_digest nl t)
+
+(* Two probes of the nominal minimum-period bisection (lo 0.5, hi 20):
+   4.15625 ns closes, 4.080078125 ns does not.  The sizer's returned
+   analysis went through retime and structural rebuilds; a fresh run on
+   the sized netlist must give the same digest. *)
+let test_golden_sized () =
+  let lib = Lazy.force full_lib in
+  List.iter
+    (fun (period, feasible, want) ->
+      let nl = Netlist.import (Lazy.force mcu_mapped) in
+      let cons = Synth.Constraints.make ~clock_period:period ~area_recovery:false () in
+      let t, _ = Synth.Sizer.optimize cons lib nl in
+      let label = Printf.sprintf "sized mcu @ %g ns" period in
+      Alcotest.(check bool) (label ^ ": feasible") feasible (Timing.worst_slack t >= 0.0);
+      Alcotest.(check string) label want (sta_digest nl t);
+      Alcotest.(check string) (label ^ ": fresh run") want
+        (sta_digest nl (Timing.run (Timing.config t) nl)))
+    [ (4.15625, true, "d9639db20dbc8cfb120dd380ba609da0"); (4.080078125, false, "60e3bc61685b173a4ca7a21e6c196f59") ]
+
 let () =
   Alcotest.run "sta"
     [
@@ -546,5 +785,11 @@ let () =
           Alcotest.test_case "structural fallback" `Quick test_retime_structural_fallback;
           Alcotest.test_case "fewer evals on local move" `Quick test_retime_fewer_evals;
           test_retime_random_sequences;
+        ] );
+      ("oracle", [ test_run_matches_reference ]);
+      ( "golden",
+        [
+          Alcotest.test_case "mapped mcu digest" `Slow test_golden_mapped;
+          Alcotest.test_case "sized mcu digests" `Slow test_golden_sized;
         ] );
     ]

@@ -477,19 +477,27 @@ let test_memory_kinds_disjoint () =
 (* A string of [n] bytes encodes to a payload a little over [n]. *)
 let blob n tag = String.make n tag
 
+(* Half the budget is the admission limit: an artifact between half and
+   the whole budget would fit alone, but keeping it would flush every
+   smaller entry, so it is not kept either. *)
 let test_memory_over_budget_not_kept () =
-  with_store "memory_big" (fun t ->
-      let c, fetch = counting () in
-      let small = Key.(int (v "memory_probe") "case" 5) in
-      let key = Key.(int (v "memory_probe") "case" 6) in
-      let big = blob Store.memory_budget 'b' in
-      ignore (fetch [ t ] small);
-      ignore (fetch ~compute:(fun () -> big) [ t ] key);
-      Alcotest.(check bool) "second fetch served" true (fetch [ t ] key = (big, true));
-      check_counts "over budget" c ~decodes:1 ~encodes:2 ~computes:2;
-      Alcotest.(check (pair string bool)) "small entry kept" ("computed", true)
-        (fetch [ t ] small);
-      check_counts "small entry not evicted for it" c ~decodes:1 ~encodes:2 ~computes:2)
+  List.iter
+    (fun (label, size) ->
+      with_store (Printf.sprintf "memory_big_%d" size) (fun t ->
+          let c, fetch = counting () in
+          let small = Key.(int (v "memory_probe") "case" 5) in
+          let key = Key.(int (v "memory_probe") "case" 6) in
+          let big = blob size 'b' in
+          ignore (fetch [ t ] small);
+          ignore (fetch ~compute:(fun () -> big) [ t ] key);
+          Alcotest.(check bool) (label ^ ": second fetch served") true
+            (fetch [ t ] key = (big, true));
+          check_counts label c ~decodes:1 ~encodes:2 ~computes:2;
+          Alcotest.(check (pair string bool)) (label ^ ": small entry kept") ("computed", true)
+            (fetch [ t ] small);
+          check_counts (label ^ ": small entry not evicted for it") c ~decodes:1 ~encodes:2
+            ~computes:2))
+    [ ("over budget", Store.memory_budget); ("over half the budget", Store.memory_budget * 3 / 5) ]
 
 let test_memory_lru_order () =
   with_store "memory_lru" (fun t ->
