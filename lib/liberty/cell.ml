@@ -38,8 +38,10 @@ let input_capacitance t name =
 let max_load t =
   List.fold_left
     (fun acc (p : Pin.t) ->
-      match p.max_capacitance with None -> acc | Some m -> Float.min acc m)
-    infinity (output_pins t)
+      match p.max_capacitance with
+      | Some m when Pin.is_output p -> Float.min acc m
+      | _ -> acc)
+    infinity t.pins
 
 let is_sequential t = t.kind <> Combinational
 

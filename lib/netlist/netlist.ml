@@ -29,7 +29,11 @@ type t = {
   mutable pos : net_id list;
   mutable clock_net : net_id option;
   mutable name_counter : int;
+  edits : int Vec.t;  (* packed [edit]s, see [log] *)
+  mutable logging : bool;  (* set by the first [edit_count] *)
 }
+
+type edit = Instance of inst_id | Net of net_id | Output of net_id
 
 let create ~name =
   {
@@ -41,14 +45,43 @@ let create ~name =
     pos = [];
     clock_net = None;
     name_counter = 0;
+    edits = Vec.create ();
+    logging = false;
   }
 
 let name t = t.design_name
+
+(* The log is one unboxed int per entry: the id shifted past a two-bit
+   tag.  Nothing is kept before a reader first takes a position, so
+   building a netlist logs nothing. *)
+let log t e =
+  if t.logging then begin
+    let packed =
+      match e with
+      | Instance id -> id lsl 2
+      | Net id -> (id lsl 2) lor 1
+      | Output id -> (id lsl 2) lor 2
+    in
+    ignore (Vec.push t.edits packed)
+  end
+
+let log_nets t conns = List.iter (fun (_, nid) -> log t (Net nid)) conns
+let edit_count t =
+  t.logging <- true;
+  Vec.length t.edits
+
+let iter_edits t ~from ~f =
+  for i = from to Vec.length t.edits - 1 do
+    let packed = Vec.get t.edits i in
+    let id = packed asr 2 in
+    f (match packed land 3 with 0 -> Instance id | 1 -> Net id | _ -> Output id)
+  done
 
 let add_net t ?net_name () =
   let net_id = Vec.length t.nets in
   let net_name = Option.value net_name ~default:(Printf.sprintf "n%d" net_id) in
   ignore (Vec.push t.nets { net_id; net_name; driver = None; sinks = [] });
+  log t (Net net_id);
   net_id
 
 let net t id = Vec.get t.nets id
@@ -80,6 +113,9 @@ let add_instance t ~inst_name ~cell ~inputs ~outputs =
     outputs;
   ignore (Vec.push t.instances (Some inst));
   t.live_instances <- t.live_instances + 1;
+  log t (Instance inst_id);
+  log_nets t inputs;
+  log_nets t outputs;
   inst_id
 
 let instance_opt t id =
@@ -103,13 +139,19 @@ let remove_instance t id =
       n.driver <- None)
     inst.outputs;
   Vec.set t.instances id None;
-  t.live_instances <- t.live_instances - 1
+  t.live_instances <- t.live_instances - 1;
+  log t (Instance id);
+  log_nets t inst.inputs;
+  log_nets t inst.outputs
 
 let set_cell t id cell =
   let inst = instance t id in
   List.iter (fun (p, _) -> check_pin_exists cell p "input") inst.inputs;
   List.iter (fun (p, _) -> check_pin_exists cell p "output") inst.outputs;
-  inst.cell <- cell
+  inst.cell <- cell;
+  log t (Instance id);
+  (* the sink pin capacitances on the input nets change with the cell *)
+  log_nets t inst.inputs
 
 let rewire_input t ~inst:id ~pin nid =
   let inst = instance t id in
@@ -120,7 +162,10 @@ let rewire_input t ~inst:id ~pin nid =
     old_net.sinks <- List.filter (fun r -> not (r.inst = id && r.pin = pin)) old_net.sinks;
     let new_net = net t nid in
     new_net.sinks <- { inst = id; pin } :: new_net.sinks;
-    inst.inputs <- List.map (fun (p, n) -> if p = pin then (p, nid) else (p, n)) inst.inputs
+    inst.inputs <- List.map (fun (p, n) -> if p = pin then (p, nid) else (p, n)) inst.inputs;
+    log t (Instance id);
+    log t (Net old_nid);
+    log t (Net nid)
 
 let iter_instances t ~f = Vec.iter (function Some inst -> f inst | None -> ()) t.instances
 
@@ -129,9 +174,19 @@ let fold_instances t ~init ~f =
 
 let iter_nets t ~f = Vec.iter f t.nets
 let instance_count t = t.live_instances
-let mark_primary_input t nid = t.pis <- nid :: t.pis
-let mark_primary_output t nid = t.pos <- nid :: t.pos
-let set_clock t nid = t.clock_net <- Some nid
+
+let mark_primary_input t nid =
+  t.pis <- nid :: t.pis;
+  log t (Net nid)
+
+let mark_primary_output t nid =
+  t.pos <- nid :: t.pos;
+  log t (Output nid)
+
+let set_clock t nid =
+  t.clock_net <- Some nid;
+  log t (Net nid)
+
 let primary_inputs t = List.rev t.pis
 let primary_outputs t = List.rev t.pos
 let clock t = t.clock_net
@@ -241,4 +296,6 @@ let import repr =
     pos = List.rev repr.repr_pos;
     clock_net = repr.repr_clock;
     name_counter = repr.repr_name_counter;
+    edits = Vec.create ();
+    logging = false;
   }

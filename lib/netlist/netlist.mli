@@ -4,7 +4,11 @@
     resizing swaps an instance's library cell within its family, buffering
     inserts instances and rewires sinks, decomposition replaces one
     instance with several.  Instances and nets are addressed by dense
-    integer ids; removed instances leave tombstones so ids stay stable. *)
+    integer ids; removed instances leave tombstones so ids stay stable.
+    Every mutator appends the ids it touches to an {{!edits}edit log},
+    from which an analysis built on the netlist finds what changed since
+    it last looked.  The [mutable] record fields below are changed only
+    through these mutators, never directly. *)
 
 type net_id = int
 type inst_id = int
@@ -81,6 +85,35 @@ val cell_usage : t -> (string * int) list
 (** Instance count per cell name, sorted descending then by name. *)
 
 val family_usage : t -> (string * int) list
+
+(** {1:edits Edit log}
+
+    Each mutator appends what it touched, in call order:
+    - {!add_net}: [Net] of the new net;
+    - {!add_instance} and {!remove_instance}: [Instance], then [Net] of
+      every input and output net (their sinks or driver changed);
+    - {!set_cell}: [Instance], then [Net] of every input net (the sink
+      pin capacitances changed);
+    - {!rewire_input}: [Instance], then [Net] of the old and new net;
+    - {!mark_primary_input}, {!set_clock}: [Net];
+    - {!mark_primary_output}: [Output].
+
+    Ids repeat when touched repeatedly; readers deduplicate.  Recording
+    starts when a reader first takes a position ({!edit_count}): edits
+    made before that are not kept, since no reader can ask for them.  A
+    snapshot ({!import}) starts with an empty log. *)
+
+type edit =
+  | Instance of inst_id  (** created, removed, re-celled or rewired *)
+  | Net of net_id  (** created, or its driver, sinks, sink cells or port marks changed *)
+  | Output of net_id  (** marked as a primary output *)
+
+val edit_count : t -> int
+(** Entries logged so far: a position to read the log from later.  The
+    first call starts the recording. *)
+
+val iter_edits : t -> from:int -> f:(edit -> unit) -> unit
+(** The entries from position [from] on, oldest first. *)
 
 val fresh_name : t -> prefix:string -> string
 (** A fresh, design-unique instance name. *)

@@ -30,10 +30,28 @@ type stats = {
   slow_client_drops : int;
 }
 
+(* A self-pipe in the read set of every blocked [select]: stopping
+   writes one byte that is never read, so the read end stays readable
+   and each waiting loop wakes at once to see the stop flag, instead of
+   at its next poll.  (Closing a listener another thread is selecting
+   on does not reliably wake it on Linux.) *)
+type wake = { wake_r : Unix.file_descr; wake_w : Unix.file_descr }
+
+let make_wake () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
+  { wake_r; wake_w }
+
+let request_stop stopping wake =
+  Atomic.set stopping true;
+  (* a full pipe (EAGAIN) is readable already *)
+  try ignore (Unix.single_write_substring wake.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+
 type handle = {
   config : config;
   listener : Unix.file_descr;
   stopping : bool Atomic.t;
+  wake : wake;
   n_requests : int Atomic.t;
   n_dedup : int Atomic.t;
   n_errors : int Atomic.t;
@@ -45,8 +63,8 @@ type handle = {
   mutable accept_thread : Thread.t option;
 }
 
-(* How often blocked loops re-check the stop flag; bounds both accept
-   latency on shutdown and the busy-wait cost while idle. *)
+(* How often blocked loops re-check the stop flag even unwoken: a
+   fallback, since a stop also writes the wake pipe. *)
 let poll_interval_s = 0.2
 
 (* A reply the peer has not drained within this window marks it a slow
@@ -220,8 +238,8 @@ let rec next_line h conn =
   | None ->
     if Atomic.get h.stopping then None
     else (
-      match Unix.select [ conn.fd ] [] [] poll_interval_s with
-      | [], _, _ -> next_line h conn
+      match Unix.select [ conn.fd; h.wake.wake_r ] [] [] poll_interval_s with
+      | ready, _, _ when not (List.mem conn.fd ready) -> next_line h conn
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line h conn
       | _ ->
         let bytes = Bytes.create 4096 in
@@ -316,8 +334,8 @@ let accept_loop h =
   let rec loop threads =
     if Atomic.get h.stopping then threads
     else (
-      match Unix.select [ h.listener ] [] [] poll_interval_s with
-      | [], _, _ -> loop threads
+      match Unix.select [ h.listener; h.wake.wake_r ] [] [] poll_interval_s with
+      | ready, _, _ when not (List.mem h.listener ready) -> loop threads
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop threads
       | _ -> (
         match Unix.accept h.listener with
@@ -340,11 +358,12 @@ let accept_loop h =
       m "drained: %d requests served, %d dedup hits, %d errors, %d sheds" s.requests
         s.dedup_hits s.errors s.sheds)
 
-let make_handle config listener =
+let make_handle ?(stopping = Atomic.make false) ?(wake = make_wake ()) config listener =
   {
     config;
     listener;
-    stopping = Atomic.make false;
+    stopping;
+    wake;
     n_requests = Atomic.make 0;
     n_dedup = Atomic.make 0;
     n_errors = Atomic.make 0;
@@ -357,7 +376,9 @@ let make_handle config listener =
   }
 
 let cleanup h =
-  (try Unix.close h.listener with Unix.Unix_error _ -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ h.listener; h.wake.wake_r; h.wake.wake_w ];
   try Unix.unlink h.config.socket with Unix.Unix_error _ | Sys_error _ -> ()
 
 (* A reply written to a peer that already vanished must surface as
@@ -376,7 +397,7 @@ let start config =
   h
 
 let stop h =
-  Atomic.set h.stopping true;
+  request_stop h.stopping h.wake;
   Option.iter Thread.join h.accept_thread;
   h.accept_thread <- None;
   cleanup h
@@ -387,14 +408,14 @@ let run config =
   ignore_sigpipe ();
   (* The handlers go in before the socket is bound: a client may signal
      as soon as the socket appears, and that must still drain. *)
-  let stopping = Atomic.make false in
+  let stopping = Atomic.make false and wake = make_wake () in
   List.iter
     (fun signal ->
-      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
+      try Sys.set_signal signal (Sys.Signal_handle (fun _ -> request_stop stopping wake))
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ];
   let h =
-    { (make_handle config (bind_socket ~backlog:config.backlog config.socket)) with stopping }
+    make_handle ~stopping ~wake config (bind_socket ~backlog:config.backlog config.socket)
   in
   Log.info (fun m ->
       m "serving on %s (%d workers, queue cap %d; SIGINT/SIGTERM drains gracefully)"

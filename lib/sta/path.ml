@@ -32,7 +32,7 @@ let extract timing nl (ep : Timing.endpoint_timing) =
     | None -> acc
     | Some { inst = inst_id; pin = out_pin } -> begin
       let inst = Netlist.instance nl inst_id in
-      match Timing.critical_input timing inst_id ~out_pin with
+      match Timing.critical_arc timing nid with
       | None -> acc (* tie cell or arc-less driver: path starts here *)
       | Some (in_pin, arc, delay) ->
         let sequential = Cell.is_sequential inst.cell in

@@ -7,12 +7,13 @@
     slew win, and the winning arc is recorded for path backtracing.
 
     Internally the analysis runs over a levelized timing graph built once
-    per netlist: one evaluation unit per driven output pin in topological
-    order, with arcs and resolved input nets flattened into arrays and
-    every per-net quantity held in a flat float array.  {!run} builds the
-    graph and performs a full analysis; {!retime} re-propagates only the
-    cone affected by a set of cell swaps, bit-identically to a fresh
-    {!run}. *)
+    per netlist: one evaluation unit per driven output pin, evaluated in
+    a topological level order, with arcs and resolved input nets
+    flattened into arrays and every per-net quantity held in a flat
+    float array.  {!run} builds the
+    graph and performs a full analysis; {!retime} extends the graph with
+    the netlist edits made since and re-propagates only the cone they
+    affect, bit-identically to a fresh {!run}. *)
 
 type config = {
   clock_period : float;  (** ns *)
@@ -46,26 +47,32 @@ type t
 
 val run : config -> Vartune_netlist.Netlist.t -> t
 (** Full timing analysis.  Raises {!Vartune_netlist.Check.Combinational_loop}
-    on cyclic logic. *)
+    on cyclic logic.  The analysis stays tied to the netlist: {!retime}
+    follows its later edits. *)
 
-val retime : t -> changed:Vartune_netlist.Netlist.inst_id list -> t
-(** [retime t ~changed] updates the analysis after the listed instances
-    had their cell swapped ({!Vartune_netlist.Netlist.set_cell}), and
-    returns the refreshed analysis.  Only the affected cone is
-    re-propagated: forward from the changed instances and the nets whose
-    load their input pins shifted, backward from every net whose slew,
-    consumer arcs or endpoint requirement moved.  The result — every
-    per-net value, winning arc, and both endpoint lists — is bit-for-bit
-    identical to [run (config t) nl].
-
-    [changed] must name every instance edited since the previous
-    analysis.  Cell swaps that keep the pin interface (same output pins,
-    same arc related-pin sequences, same sequential kind — family ladder
-    moves) are applied in place, mutating and returning [t]; any other
-    edit, including structural netlist changes (detected best-effort via
-    net/instance counts and arc-shape checks), falls back to a full
-    [run] on the current netlist and returns the fresh analysis.  Either
-    way the caller must use the returned value. *)
+val retime : t -> unit
+(** [retime t] brings [t] up to date with every edit made to its netlist
+    since the last [run] or [retime], in place.  It reads the netlist's
+    {{!Vartune_netlist.Netlist.edits}edit log} from the position the
+    analysis remembers, so callers name nothing.  Every edit the
+    {!Vartune_netlist.Netlist} mutators make is handled as a cone update
+    on the same graph, never by rebuilding it:
+    - a cell swap that keeps the instance's arc shape (same output pins,
+      as many arcs each, same sequential kind — family ladder moves)
+      refreshes its arcs in place;
+    - any other swap, and every added or removed instance, tombstones
+      the instance's old evaluation nodes and appends its new ones;
+    - added nets extend the per-net arrays, rewired inputs and new
+      drivers re-derive the reader index and the level order from the
+      graph's integer arrays, and primary-output marks add endpoints.
+    Then only the affected cone is re-propagated: forward from the
+    edited nodes and from every net whose load or driver changed,
+    backward from every net whose slew, readers, reader arcs or
+    endpoint requirement moved.  The result — every per-net value,
+    winning arc, and both endpoint lists — is bit-for-bit identical to
+    [run (config t) nl].  With nothing logged it does no work.  Raises
+    {!Vartune_netlist.Check.Combinational_loop} if an edit closed a
+    cycle. *)
 
 val config : t -> config
 val net_load : t -> Vartune_netlist.Netlist.net_id -> float
@@ -86,6 +93,10 @@ val critical_input :
   (string * Vartune_liberty.Arc.t * float) option
 (** The (input pin, arc, delay) that set the output's arrival, if the
     instance has timing arcs. *)
+
+val critical_arc :
+  t -> Vartune_netlist.Netlist.net_id -> (string * Vartune_liberty.Arc.t * float) option
+(** {!critical_input} of the net's driver, by the net it drives. *)
 
 val endpoints : t -> endpoint_timing list
 val worst_slack : t -> float

@@ -24,37 +24,28 @@ type state = {
   mutable buffered : int;
   mutable decomposed : int;
   mutable downsized : int;
-  (* dirty-set for incremental retiming: cell swaps since the last
-     analysis, and whether a structural edit forces a full re-run *)
-  mutable touched : Netlist.inst_id list;
-  mutable structural : bool;
 }
 
-let swapped st inst_id = st.touched <- inst_id :: st.touched
-
-(* Refresh the timing analysis after a round of edits.  Cell swaps go
-   through [Timing.retime] (O(affected cone)); structural edits —
-   buffering, decomposition — rebuild the graph with a full run.  Both
-   paths yield bit-identical analyses, so [incremental] only changes
-   cost, never the optimisation trajectory. *)
+(* Refresh the timing analysis after a round of edits.  [Timing.retime]
+   follows every edit — swaps, buffering, decomposition — through the
+   netlist's edit log in O(affected cone); [~incremental:false] runs a
+   full analysis instead.  Both yield bit-identical analyses, so
+   [incremental] only changes cost, never the optimisation trajectory. *)
 let refresh st timing =
-  if st.structural || not st.incremental then begin
-    st.structural <- false;
-    st.touched <- [];
-    Timing.run (Timing.config timing) st.nl
+  if st.incremental then begin
+    Timing.retime timing;
+    timing
   end
-  else begin
-    let changed = st.touched in
-    st.touched <- [];
-    Timing.retime timing ~changed
-  end
+  else Timing.run (Timing.config timing) st.nl
 
 let worst_input_slew timing nl (inst : Netlist.instance) =
   ignore nl;
   let clock_pin = inst.cell.Cell.clock_pin in
   List.fold_left
     (fun acc (pin, nid) ->
-      if Some pin = clock_pin then acc else Float.max acc (Timing.net_slew timing nid))
+      match clock_pin with
+      | Some ck when String.equal ck pin -> acc
+      | _ -> Float.max acc (Timing.net_slew timing nid))
     (Timing.config timing).Timing.input_slew
     inst.inputs
 
@@ -125,7 +116,6 @@ let buffer_net st ~net_id ~groups =
                ~outputs:[ ("Z", new_net) ]);
           st.buffered <- st.buffered + 1)
         batches;
-      st.structural <- true;
       true
   end
 
@@ -134,7 +124,6 @@ let fix_electrical st timing =
   let edits = ref 0 in
   let max_fanout = st.cons.Constraints.max_fanout in
   Netlist.iter_instances nl ~f:(fun inst ->
-      let slew = worst_input_slew timing nl inst in
       List.iter
         (fun (_, nid) ->
           let net = Netlist.net nl nid in
@@ -148,11 +137,12 @@ let fix_electrical st timing =
                or the fanout rule is violated outright. *)
             match
               if fanout > max_fanout then None
-              else Choice.upsize st.cons st.lib inst.cell ~load ~slew
+              else
+                Choice.upsize st.cons st.lib inst.cell ~load
+                  ~slew:(worst_input_slew timing nl inst)
             with
             | Some bigger ->
               Netlist.set_cell nl inst.inst_id bigger;
-              swapped st inst.inst_id;
               st.resized <- st.resized + 1;
               incr edits
             | None ->
@@ -189,7 +179,6 @@ let replace_gate_with_chain st inst ~gate_family ~pins_map =
        ~inst_name:(Netlist.fresh_name nl ~prefix:"inv")
        ~cell:inv_cell ~inputs:[ ("A", mid) ] ~outputs:[ ("Z", out_net) ]);
   st.decomposed <- st.decomposed + 1;
-  st.structural <- true;
   true
 
 let decompose st (inst : Netlist.instance) =
@@ -218,7 +207,6 @@ let decompose st (inst : Netlist.instance) =
              ~inputs:[ ("A", a); ("B", b); ("CI", ci) ]
              ~outputs:[ ("CO", co_net) ]);
         st.decomposed <- st.decomposed + 1;
-        st.structural <- true;
         true
       | _ -> false
     end
@@ -243,7 +231,6 @@ let decompose st (inst : Netlist.instance) =
              ~inputs:[ ("A", mid); ("B", c) ]
              ~outputs:[ ("Z", out_net) ]);
         st.decomposed <- st.decomposed + 1;
-        st.structural <- true;
         true
       | _ -> false
     end
@@ -298,7 +285,6 @@ let improve_path st timing (path : Path.t) ~budget =
               match Choice.upsize st.cons st.lib inst.cell ~load ~slew with
               | Some bigger ->
                 Netlist.set_cell nl inst.inst_id bigger;
-                swapped st inst.inst_id;
                 st.resized <- st.resized + 1;
                 true
               | None -> false
@@ -360,7 +346,6 @@ let repair_windows st timing =
                     match Choice.upsize st.cons st.lib drv.cell ~load:drv_load ~slew:drv_slew with
                     | Some bigger ->
                       Netlist.set_cell nl drv_id bigger;
-                      swapped st drv_id;
                       st.resized <- st.resized + 1;
                       incr edits
                     | None -> ()
@@ -396,7 +381,6 @@ let recover_area st timing =
                 in
                 if increase > 0.0 && increase *. 1.6 < slack then begin
                   Netlist.set_cell nl inst.inst_id smaller;
-                  swapped st inst.inst_id;
                   st.downsized <- st.downsized + 1;
                   incr moves;
                   shrink increase
@@ -416,7 +400,7 @@ let recover_area st timing =
 let optimize ?(incremental = true) cons lib nl =
   let st =
     { cons; lib; nl; incremental; resized = 0; buffered = 0; decomposed = 0;
-      downsized = 0; touched = []; structural = false }
+      downsized = 0 }
   in
   let tconfig = Constraints.timing_config cons in
   let timing = ref (Timing.run tconfig nl) in

@@ -40,9 +40,10 @@ val optimize :
   Vartune_sta.Timing.t * report
 (** Runs the full loop and returns the final timing analysis.
 
-    With [incremental] (the default) the analysis between move rounds is
-    refreshed with {!Vartune_sta.Timing.retime} over the cells actually
-    swapped — O(affected cone) instead of O(design) — falling back to a
-    full run after structural edits (buffering, decomposition).  Retime
-    is bit-identical to a full run, so [~incremental:false] changes cost
-    only; it exists for benchmarking the speedup. *)
+    With [incremental] (the default) the loop runs one full analysis and
+    refreshes it between move rounds with {!Vartune_sta.Timing.retime},
+    which follows every edit — swaps, buffering, decomposition — through
+    the netlist's edit log in O(affected cone) instead of O(design).
+    Retime is bit-identical to a full run, so [~incremental:false] (a
+    full run per refresh) changes cost only; it is the oracle the
+    incremental trajectory is tested against. *)

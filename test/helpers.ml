@@ -258,8 +258,8 @@ let welford_merge ((na, mean_a, m2_a) as a) ((nb, mean_b, m2_b) as b) =
     (na + nb, mean, m2)
   end
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?long_factor ~name gen prop)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

@@ -96,12 +96,14 @@ let test_library_file_round_trip_full_catalog () =
   Alcotest.(check int) "families preserved" (List.length (Library.families nominal))
     (List.length (Library.families back))
 
+(* a full-catalog statistical library, small N *)
+let mcu_statlib =
+  lazy (Statistical.build Characterize.default_config ~mismatch:Mismatch.default ~seed:1 ~n:5 ())
+
 let test_mcu_synthesis_smoke () =
   (* the evaluation design synthesises and validates at a relaxed clock *)
   let ir = Mcu.generate () in
-  let lib =
-    Statistical.build Characterize.default_config ~mismatch:Mismatch.default ~seed:1 ~n:5 ()
-  in
+  let lib = Lazy.force mcu_statlib in
   let r = Synthesis.run (Constraints.make ~clock_period:20.0 ()) lib ir in
   Alcotest.(check bool) "feasible" true r.Synthesis.feasible;
   Alcotest.(check bool) "validates" true (Check.validate r.Synthesis.netlist = Ok ());
@@ -141,6 +143,56 @@ let test_mcu_hold_clean () =
   Alcotest.(check bool) (Printf.sprintf "worst hold slack %+.4f >= 0" worst) true
     (worst >= 0.0)
 
+(* Restriction soundness, recounted from the final timing: an instance
+   violates when its worst data-input slew and an output's load fall
+   outside that output pin's window (or the pin is unusable).  Written
+   from the restriction table and the analysis alone, sharing no code
+   with the sizer's own count, which the report must match exactly.
+   At this setting the sizer leaves and reports a few dozen. *)
+let test_mcu_restrictions_sound () =
+  let module Timing = Vartune_sta.Timing in
+  let module Restrict = Vartune_tuning.Restrict in
+  let module Cell = Vartune_liberty.Cell in
+  let lib = Lazy.force mcu_statlib in
+  (* the paper's cell-based sigma ceiling at one of its Fig 10 values *)
+  let tuning =
+    { Tuning_method.population = Cluster.Per_cell; criterion = Threshold.Sigma_ceiling 0.02 }
+  in
+  let table = Tuning_method.restrictions tuning lib in
+  let r =
+    Synthesis.run (Constraints.make ~clock_period:7.0 ~restrictions:table ()) lib (Mcu.generate ())
+  in
+  let t = r.Synthesis.timing in
+  let restricted = ref 0 in
+  let violations =
+    Netlist.fold_instances r.Synthesis.netlist ~init:0 ~f:(fun acc inst ->
+        let cell = inst.Netlist.cell in
+        let slew =
+          List.fold_left
+            (fun worst (pin, nid) ->
+              if cell.Cell.clock_pin = Some pin then worst
+              else Float.max worst (Timing.net_slew t nid))
+            (Timing.config t).Timing.input_slew inst.inputs
+        in
+        let outside (pin, nid) =
+          let load = Timing.net_load t nid in
+          match Restrict.find table ~cell:cell.Cell.name ~pin with
+          | Restrict.Unrestricted -> false
+          | Restrict.Unusable -> true
+          | Restrict.Window w ->
+            incr restricted;
+            not
+              (w.Restrict.slew_min <= slew && slew <= w.slew_max && w.load_min <= load
+             && load <= w.load_max)
+        in
+        if List.exists outside inst.outputs then acc + 1 else acc)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d restricted outputs checked" !restricted)
+    true (!restricted > 1000);
+  Alcotest.(check int) "recount = sizer's count" r.Synthesis.sizer.Sizer.window_violations
+    violations
+
 let test_statistical_library_drives_path_sigma () =
   (* a path through the statistical library must carry nonzero sigma,
      and deeper paths must have larger sigma (same cells, eq 10) *)
@@ -171,6 +223,7 @@ let () =
           Alcotest.test_case "mcu synthesis smoke" `Slow test_mcu_synthesis_smoke;
           Alcotest.test_case "mcu verilog roundtrip" `Slow test_mcu_verilog_roundtrip;
           Alcotest.test_case "mcu hold clean" `Slow test_mcu_hold_clean;
+          Alcotest.test_case "mcu restrictions sound" `Slow test_mcu_restrictions_sound;
           Alcotest.test_case "path sigma scaling" `Quick test_statistical_library_drives_path_sigma;
         ] );
     ]

@@ -755,6 +755,29 @@ let test_drain_under_load () =
         (resp.Response.retry_after_s <> None))
     [ ("queued B", rb); ("queued C", rc) ]
 
+(* An idle daemon stops at once: the stop wakes the accept loop instead
+   of waiting out its 0.2 s select poll, which put a 0-0.2 s term into
+   every stop.  Median of five start/stop cycles. *)
+let test_stop_is_prompt () =
+  let socket = in_temp "prompt.sock" in
+  let stop_s () =
+    if Sys.file_exists socket then Sys.remove socket;
+    let h =
+      Serve.start
+        { Serve.socket; store = None; backlog = 16; workers = 1; queue_cap = 8; max_conns = 8 }
+    in
+    (* let the accept loop block in its select *)
+    Thread.delay 0.05;
+    let t0 = Unix.gettimeofday () in
+    Serve.stop h;
+    Unix.gettimeofday () -. t0
+  in
+  let times = List.sort Float.compare (List.init 5 (fun _ -> stop_s ())) in
+  let median = List.nth times 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median stop %.3f s, under a quarter of the poll" median)
+    true (median < 0.05)
+
 (* The real binary: SIGTERM -> graceful drain -> exit 75. *)
 let test_binary_sigterm_exit_75 () =
   let socket = in_temp "sigterm.sock" in
@@ -835,5 +858,6 @@ let () =
           Alcotest.test_case "drain under load sheds queued with 75" `Slow
             test_drain_under_load;
           Alcotest.test_case "binary SIGTERM exits 75" `Slow test_binary_sigterm_exit_75;
+          Alcotest.test_case "idle stop is prompt" `Quick test_stop_is_prompt;
         ] );
     ]

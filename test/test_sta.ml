@@ -363,6 +363,14 @@ let ladder_of cell =
       c.Cell.family = cell.Cell.family && c.Cell.name <> cell.Cell.name)
     (Library.cells lib)
 
+module Obs = Vartune_obs.Obs
+
+(* run [f] with telemetry on, so the work counters count *)
+let with_obs f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+
 let test_retime_chain_resize () =
   let nl = inverter_chain 4 in
   let t = Timing.run config nl in
@@ -373,23 +381,34 @@ let test_retime_chain_resize () =
   let inst_id = Option.get !target in
   let bigger = Library.find lib "INV_4" in
   Netlist.set_cell nl inst_id bigger;
-  let t = Timing.retime t ~changed:[ inst_id ] in
+  Timing.retime t;
   check_same_analysis "chain resize" nl t (Timing.run config nl);
   (* a second move on the same analysis: back down the ladder *)
   Netlist.set_cell nl inst_id (Library.find lib "INV_1");
-  let t = Timing.retime t ~changed:[ inst_id ] in
+  Timing.retime t;
   check_same_analysis "chain resize back" nl t (Timing.run config nl)
 
 let test_retime_empty_and_counters () =
+  with_obs @@ fun () ->
   let nl = inverter_chain 3 in
   let t = Timing.run config nl in
-  let evals_before = Vartune_obs.Obs.counter_value "sta.node_evals" in
-  let t' = Timing.retime t ~changed:[] in
-  check_same_analysis "empty retime" nl t' (Timing.run config nl);
-  ignore evals_before
+  let evals = Obs.counter_value "sta.node_evals" and runs = Obs.counter_value "sta.runs" in
+  Timing.retime t;
+  Alcotest.(check int) "no node evals" 0 (Obs.counter_value "sta.node_evals" - evals);
+  Alcotest.(check int) "no full run" 0 (Obs.counter_value "sta.runs" - runs);
+  check_same_analysis "empty retime" nl t (Timing.run config nl)
 
-(* structural edits must fall back to a full rebuild, not corrupt state *)
-let test_retime_structural_fallback () =
+(* [retime t], checked to update [t] in place — no full run — to
+   exactly what a fresh run of [nl] gives *)
+let retime_checked msg nl t =
+  let runs = Obs.counter_value "sta.runs" in
+  Timing.retime t;
+  if Obs.counter_value "sta.runs" <> runs then Alcotest.failf "%s: retime ran a full analysis" msg;
+  check_same_analysis msg nl t (Timing.run config nl)
+
+(* a new primary input feeding a new gate: nets and an instance appear *)
+let test_retime_structural_edits () =
+  with_obs @@ fun () ->
   let nl = inverter_chain 3 in
   let t = Timing.run config nl in
   let extra = Netlist.add_net nl () in
@@ -399,8 +418,7 @@ let test_retime_structural_fallback () =
     (Netlist.add_instance nl ~inst_name:"tap" ~cell:inv
        ~inputs:[ ("A", extra) ]
        ~outputs:[ ("Z", out) ]);
-  let t = Timing.retime t ~changed:[] in
-  check_same_analysis "structural fallback" nl t (Timing.run config nl)
+  retime_checked "structural edits" nl t
 
 (* Random DAG netlists under random same-family resize sequences: after
    every batch of moves, retime must equal a fresh run bit-for-bit. *)
@@ -461,11 +479,10 @@ let test_retime_random_sequences =
     (fun seed ->
       let rng = Rng.create seed in
       let nl, movable = random_dag rng in
-      let t = ref (Timing.run config nl) in
+      let t = Timing.run config nl in
       let steps = 1 + Rng.int rng 4 in
       for _ = 1 to steps do
         let n_moves = 1 + Rng.int rng 3 in
-        let changed = ref [] in
         for _ = 1 to n_moves do
           let id = movable.(Rng.int rng (Array.length movable)) in
           match Netlist.instance_opt nl id with
@@ -475,38 +492,34 @@ let test_retime_random_sequences =
             | [] -> ()
             | ladder ->
               let cell = List.nth ladder (Rng.int rng (List.length ladder)) in
-              Netlist.set_cell nl id cell;
-              changed := id :: !changed)
+              Netlist.set_cell nl id cell)
         done;
-        t := Timing.retime !t ~changed:!changed;
-        check_same_analysis (Printf.sprintf "seed %d" seed) nl !t (Timing.run config nl)
+        Timing.retime t;
+        check_same_analysis (Printf.sprintf "seed %d" seed) nl t (Timing.run config nl)
       done;
       true)
 
 (* Retime must touch fewer nodes than a full run on local moves — the
    point of the whole exercise — measured with the Obs eval counter. *)
 let test_retime_fewer_evals () =
-  Vartune_obs.Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Vartune_obs.Obs.set_enabled false)
-    (fun () ->
-      let nl = inverter_chain 16 in
-      let t = Timing.run config nl in
-      let target = ref None in
-      Netlist.iter_instances nl ~f:(fun inst ->
-          if inst.Netlist.inst_name = "inv14" then target := Some inst.inst_id);
-      let inst_id = Option.get !target in
-      Netlist.set_cell nl inst_id (Library.find lib "INV_4");
-      let before = Vartune_obs.Obs.counter_value "sta.node_evals" in
-      let t = Timing.retime t ~changed:[ inst_id ] in
-      let retime_evals = Vartune_obs.Obs.counter_value "sta.node_evals" - before in
-      check_same_analysis "late-chain resize" nl t (Timing.run config nl);
-      (* the cone of a move near the chain's end is a handful of nodes;
-         a full pass is 17 (16 inverters + the register) *)
-      Alcotest.(check bool)
-        (Printf.sprintf "cone is local (%d evals)" retime_evals)
-        true
-        (retime_evals > 0 && retime_evals <= 6))
+  with_obs @@ fun () ->
+  let nl = inverter_chain 16 in
+  let t = Timing.run config nl in
+  let target = ref None in
+  Netlist.iter_instances nl ~f:(fun inst ->
+      if inst.Netlist.inst_name = "inv14" then target := Some inst.inst_id);
+  let inst_id = Option.get !target in
+  Netlist.set_cell nl inst_id (Library.find lib "INV_4");
+  let before = Obs.counter_value "sta.node_evals" in
+  Timing.retime t;
+  let retime_evals = Obs.counter_value "sta.node_evals" - before in
+  check_same_analysis "late-chain resize" nl t (Timing.run config nl);
+  (* the cone of a move near the chain's end is a handful of nodes;
+     a full pass is 17 (16 inverters + the register) *)
+  Alcotest.(check bool)
+    (Printf.sprintf "cone is local (%d evals)" retime_evals)
+    true
+    (retime_evals > 0 && retime_evals <= 6)
 
 (* --------------------------- independent oracle -------------------- *)
 
@@ -574,12 +587,24 @@ let reference_timing (cfg : Timing.config) nl =
   in
   fun nid -> (load nid, node nid)
 
+(* The arc count of each output of [inst] under [cell], and whether
+   [cell] is sequential: what a swap must keep for the timing graph to
+   refresh the instance in place. *)
+let arc_shape (inst : Netlist.instance) (cell : Cell.t) =
+  ( Cell.is_sequential cell,
+    List.map
+      (fun (pin, _) ->
+        match Cell.find_pin cell pin with Some p -> List.length p.Pin.arcs | None -> -1)
+      inst.outputs )
+
 (* Structural edits of the kinds the sizer makes, on a random DAG:
    tombstoning an instance, inserting a buffer and moving some of a
    net's sinks behind it, adding a gate (single- or multi-output, or a
-   tie cell, some inputs possibly unconnected) on fresh nets, and
-   moving an input onto a new primary input.  Every edit keeps the
-   logic acyclic. *)
+   tie cell, some inputs possibly unconnected) on fresh nets, moving an
+   input onto a new primary input, swapping a cell for one with the
+   same pins but another arc shape (ND2 to ND3, a tie cell to an
+   inverter), and marking a net as a primary output or input.  Every
+   edit keeps the logic acyclic. *)
 let structural_edit rng nl =
   let pick xs = List.nth xs (Rng.int rng (List.length xs)) in
   let live = Netlist.fold_instances nl ~init:[] ~f:(fun acc i -> i :: acc) in
@@ -589,7 +614,7 @@ let structural_edit rng nl =
       (fun nid -> Some nid <> clock)
       (List.init (Netlist.net_count nl) Fun.id)
   in
-  match Rng.int rng 4 with
+  match Rng.int rng 6 with
   | 0 -> (
     match live with [] -> () | _ -> Netlist.remove_instance nl (pick live).Netlist.inst_id)
   | 1 -> (
@@ -630,7 +655,7 @@ let structural_edit rng nl =
          ~inst_name:(Netlist.fresh_name nl ~prefix:"add")
          ~cell ~inputs ~outputs);
     if Rng.int rng 2 = 0 then Netlist.mark_primary_output nl (snd (pick outputs))
-  | _ -> (
+  | 3 -> (
     let comb =
       List.filter
         (fun i -> (not (Cell.is_sequential i.Netlist.cell)) && i.Netlist.inputs <> [])
@@ -643,9 +668,37 @@ let structural_edit rng nl =
       let pi = Netlist.add_net nl () in
       Netlist.mark_primary_input nl pi;
       Netlist.rewire_input nl ~inst:inst.inst_id ~pin:(fst (pick inst.inputs)) pi)
+  | 4 -> (
+    let swaps =
+      List.concat_map
+        (fun (inst : Netlist.instance) ->
+          let fits (cell : Cell.t) =
+            let on dir (pin, _) =
+              match Cell.find_pin cell pin with Some p -> p.Pin.direction = dir | None -> false
+            in
+            List.for_all (on Pin.Input) inst.inputs
+            && List.for_all (on Pin.Output) inst.outputs
+            && arc_shape inst cell <> arc_shape inst inst.cell
+          in
+          List.map (fun c -> (inst.inst_id, c)) (List.filter fits (Library.cells lib)))
+        live
+    in
+    match swaps with
+    | [] -> ()
+    | _ ->
+      let id, cell = pick swaps in
+      Netlist.set_cell nl id cell)
+  | _ ->
+    if Rng.int rng 2 = 0 then Netlist.mark_primary_output nl (pick data_nets)
+    else begin
+      let undriven =
+        List.filter (fun nid -> (Netlist.net nl nid).Netlist.driver = None) data_nets
+      in
+      Netlist.mark_primary_input nl (pick (Netlist.add_net nl () :: undriven))
+    end
 
 let test_run_matches_reference =
-  Helpers.qtest ~count:40 "run = naive reference under structural edits"
+  Helpers.qtest ~count:40 ~long_factor:15 "run = naive reference under structural edits"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -666,6 +719,23 @@ let test_run_matches_reference =
         check "arrival" (Timing.net_arrival t nid) arrival;
         check "slew" (Timing.net_slew t nid) slew;
         check "min_arrival" (Timing.net_min_arrival t nid) min_arrival
+      done;
+      true)
+
+(* Structural retime against a fresh run: after each edit the one
+   analysis is updated in place — never by a full run — and must match
+   a fresh analysis of the edited netlist bit for bit. *)
+let test_retime_matches_run =
+  Helpers.qtest ~count:40 ~long_factor:15 "retime = fresh run after each structural edit"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      with_obs @@ fun () ->
+      let rng = Rng.create seed in
+      let nl, _ = random_dag rng in
+      let t = Timing.run config nl in
+      for edit = 1 to 1 + Rng.int rng 8 do
+        structural_edit rng nl;
+        retime_checked (Printf.sprintf "seed %d, edit %d" seed edit) nl t
       done;
       true)
 
@@ -782,11 +852,11 @@ let () =
         [
           Alcotest.test_case "chain resize" `Quick test_retime_chain_resize;
           Alcotest.test_case "empty change set" `Quick test_retime_empty_and_counters;
-          Alcotest.test_case "structural fallback" `Quick test_retime_structural_fallback;
+          Alcotest.test_case "structural edits" `Quick test_retime_structural_edits;
           Alcotest.test_case "fewer evals on local move" `Quick test_retime_fewer_evals;
           test_retime_random_sequences;
         ] );
-      ("oracle", [ test_run_matches_reference ]);
+      ("oracle", [ test_run_matches_reference; test_retime_matches_run ]);
       ( "golden",
         [
           Alcotest.test_case "mapped mcu digest" `Slow test_golden_mapped;
