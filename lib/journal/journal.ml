@@ -148,12 +148,7 @@ let decode_step r =
 (* 62-bit FNV-1a digest: truncated so the value survives the codec's
    int64 <-> OCaml-int round trip exactly on 63-bit systems. *)
 let checksum s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Int64.to_int (Int64.shift_right_logical !h 2)
+  Int64.to_int (Int64.shift_right_logical (Store.Key.fnv1a64 0xcbf29ce484222325L s) 2)
 
 (* ------------------------------------------------------------------ *)
 (* Journal files                                                       *)

@@ -174,6 +174,7 @@ let fold_instances t ~init ~f =
 
 let iter_nets t ~f = Vec.iter f t.nets
 let instance_count t = t.live_instances
+let instance_bound t = Vec.length t.instances
 
 let mark_primary_input t nid =
   t.pis <- nid :: t.pis;

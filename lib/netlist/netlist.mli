@@ -73,6 +73,10 @@ val iter_nets : t -> f:(net -> unit) -> unit
 val instance_count : t -> int
 (** Live instances. *)
 
+val instance_bound : t -> int
+(** One more than the largest instance id allocated so far, tombstones
+    included; {!iter_instances} visits the live ids below it. *)
+
 val mark_primary_input : t -> net_id -> unit
 val mark_primary_output : t -> net_id -> unit
 val set_clock : t -> net_id -> unit

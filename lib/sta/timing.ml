@@ -131,6 +131,8 @@ type t = {
       (* setup and hold endpoint lists, built on first demand after each
          analysis that moved an endpoint.  Two domains forcing them at
          once both store equal lists. *)
+  mutable moved : int array;  (* the nets whose slew bits the last retime changed... *)
+  mutable n_moved : int;  (* ...in [moved.(0)] to [moved.(n_moved - 1)] *)
 }
 
 let config t = t.cfg
@@ -618,6 +620,8 @@ let run cfg nl =
       ep_seed = Array.make n infinity;
       arc_out = Array.make 4 0.0;
       ep_lists = None;
+      moved = [||];
+      n_moved = 0;
     }
   in
   Netlist.iter_nets nl ~f:(fun net ->
@@ -683,8 +687,20 @@ let cover_nets t n =
   g.cons0 <- cons0;
   g.n_nets <- n
 
+(* record that a retime changed [nid]'s slew bits *)
+let slew_moved t nid =
+  t.moved <- grow t.moved (t.n_moved + 1) 0;
+  t.moved.(t.n_moved) <- nid;
+  t.n_moved <- t.n_moved + 1
+
+let iter_slew_changes t ~f =
+  for i = 0 to t.n_moved - 1 do
+    f t.moved.(i)
+  done
+
 (* A net that lost its driver reads as a primary input again. *)
 let reset_undriven t nid =
+  if bits t.slews.(nid) <> bits t.cfg.input_slew then slew_moved t nid;
   t.arrivals.(nid) <- 0.0;
   t.slews.(nid) <- t.cfg.input_slew;
   t.min_arrivals.(nid) <- infinity;
@@ -774,6 +790,7 @@ let retime t =
   let nl = g.nl in
   Obs.span "sta.retime" @@ fun () ->
   Obs.Counter.incr c_retimes;
+  t.n_moved <- 0;
   if Netlist.edit_count nl > g.log_pos then begin
     let insts = ref [] and nets = ref [] and new_pos = ref [] in
     Netlist.iter_edits nl ~from:g.log_pos ~f:(function
@@ -841,7 +858,10 @@ let retime t =
         let oa = t.arrivals.(out) and os = t.slews.(out) and om = t.min_arrivals.(out) in
         eval_forward t k;
         let slew_changed = bits os <> bits t.slews.(out) in
-        if slew_changed then breq.(out) <- true;
+        if slew_changed then begin
+          breq.(out) <- true;
+          slew_moved t out
+        end;
         if
           slew_changed
           || bits oa <> bits t.arrivals.(out)

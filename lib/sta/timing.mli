@@ -74,6 +74,11 @@ val retime : t -> unit
     {!Vartune_netlist.Check.Combinational_loop} if an edit closed a
     cycle. *)
 
+val iter_slew_changes : t -> f:(Vartune_netlist.Netlist.net_id -> unit) -> unit
+(** The nets whose {!net_slew} the last {!retime} changed, bit for bit,
+    each once; none after {!run}.  A scan that depends on slews can
+    revisit only these nets' readers. *)
+
 val config : t -> config
 val net_load : t -> Vartune_netlist.Netlist.net_id -> float
 val net_arrival : t -> Vartune_netlist.Netlist.net_id -> float

@@ -47,12 +47,17 @@ module Key = struct
 
   let id t = t
 
-  (* FNV-1a 64 under two different offset bases: a 128-bit spread. *)
+  (* FNV-1a 64.  The accumulator is a local ref the compiler keeps
+     unboxed, so hashing allocates nothing whatever the length. *)
   let fnv1a64 seed s =
-    String.fold_left
-      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
-      seed s
+    let h = ref seed in
+    for i = 0 to String.length s - 1 do
+      let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+      h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+    done;
+    !h
 
+  (* under two different offset bases: a 128-bit spread *)
   let hex t =
     Printf.sprintf "%016Lx%016Lx"
       (fnv1a64 0xcbf29ce484222325L t)

@@ -102,6 +102,12 @@ module Key : sig
 
   val hex : t -> string
   (** 128-bit digest of {!id} — the entry file name. *)
+
+  val fnv1a64 : int64 -> string -> int64
+  (** [fnv1a64 basis s] is the 64-bit FNV-1a hash of [s] from the
+      offset basis [basis] (the standard one is [0xcbf29ce484222325L]).
+      It allocates nothing.  Entry checksums, the journal's record
+      checksums and {!hex} all use it. *)
 end
 
 type t

@@ -1,7 +1,6 @@
 module Timing = Vartune_sta.Timing
 module Restrict = Vartune_tuning.Restrict
 module Cell = Vartune_liberty.Cell
-module Pin = Vartune_liberty.Pin
 
 type t = {
   clock_period : float;
@@ -34,34 +33,12 @@ let timing_config t =
     wire_caps = None;
   }
 
-let allows t ~cell ~slew ~load =
+let summary t (cell : Cell.t) =
   match t.restrictions with
-  | None -> true
-  | Some table ->
-    List.for_all
-      (fun (p : Pin.t) ->
-        Restrict.allows table ~cell:cell.Cell.name ~pin:p.name ~slew ~load)
-      (Cell.output_pins cell)
+  | None -> Restrict.unrestricted
+  | Some table -> Restrict.summary table ~cell:cell.name
 
-let usable t cell =
-  match t.restrictions with
-  | None -> true
-  | Some table -> Restrict.usable_cell table cell
-
-let fold_windows t cell ~init ~f =
-  match t.restrictions with
-  | None -> init
-  | Some table ->
-    List.fold_left
-      (fun acc (p : Pin.t) ->
-        match Restrict.find table ~cell:cell.Cell.name ~pin:p.name with
-        | Restrict.Unrestricted -> acc
-        | Restrict.Unusable -> f acc 0.0 0.0
-        | Restrict.Window w -> f acc w.Restrict.load_max w.Restrict.slew_max)
-      init (Cell.output_pins cell)
-
-let window_load_max t cell =
-  fold_windows t cell ~init:infinity ~f:(fun acc load_max _ -> Float.min acc load_max)
-
-let window_slew_max t cell =
-  fold_windows t cell ~init:infinity ~f:(fun acc _ slew_max -> Float.min acc slew_max)
+let allows t ~cell ~slew ~load = Restrict.summary_allows (summary t cell) ~slew ~load
+let usable t cell = (summary t cell).Restrict.usable
+let window_load_max t cell = (summary t cell).Restrict.load_max
+let window_slew_max t cell = (summary t cell).Restrict.slew_max

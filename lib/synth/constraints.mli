@@ -3,7 +3,9 @@
     Besides the usual clock/electrical rules this carries the paper's
     contribution: optional per-output-pin (slew, load) windows produced
     by library tuning, which the mapper and sizer treat as hard limits on
-    cell choice. *)
+    cell choice.  The window queries read the restriction table's
+    per-cell {!Vartune_tuning.Restrict.summary}: one lookup by cell name
+    each. *)
 
 type t = {
   clock_period : float;  (** ns *)

@@ -15,16 +15,87 @@ type report = {
   window_violations : int;
 }
 
+(* The candidates of one repair scan.  A scan visits instances in
+   ascending id and acts on those whose trigger holds; the trigger reads
+   the timing analysis at the instance's own nets and the live netlist
+   (its cell, its pins' nets, its outputs' sinks).  An instance whose
+   trigger failed at its last visit cannot trigger until one of those
+   changed, and each such change is either logged in the netlist's edit
+   log (naming the instance or one of the nets it drives) or, for a
+   slew, reported by [Timing.iter_slew_changes] for its readers.  So a
+   scan visits only [marks]: what the log names from [from] on, the
+   readers of moved slews, and the instances whose trigger held at
+   their last visit.  The first scan visits every instance. *)
+type scan = {
+  mutable marks : bool array;  (* instance id -> visit at the next scan *)
+  mutable from : int;
+      (* the log position of the analysis the last scan read: entries
+         after it may not have reached that analysis yet *)
+}
+
 type state = {
   cons : Constraints.t;
   lib : Library.t;
   nl : Netlist.t;
   incremental : bool;
+  fix : scan;  (* [fix_electrical] *)
+  windows : scan;  (* [repair_windows] *)
+  mutable synced : int;  (* the log position the current analysis reflects *)
   mutable resized : int;
   mutable buffered : int;
   mutable decomposed : int;
   mutable downsized : int;
 }
+
+let cover sc n =
+  let len = Array.length sc.marks in
+  if n > len then begin
+    let marks = Array.make (max n (2 * len)) false in
+    Array.blit sc.marks 0 marks 0 len;
+    sc.marks <- marks
+  end
+
+let mark sc id =
+  cover sc (id + 1);
+  sc.marks.(id) <- true
+
+(* mark the instances the log names from [from] on and the current
+   drivers of the nets it names *)
+let absorb st sc ~from =
+  Netlist.iter_edits st.nl ~from ~f:(function
+    | Netlist.Instance id -> mark sc id
+    | Netlist.Net nid | Netlist.Output nid -> (
+      match (Netlist.net st.nl nid).Netlist.driver with
+      | Some r -> mark sc r.Netlist.inst
+      | None -> ()))
+
+(* Visit the candidates of [sc] among the instances that exist when the
+   scan starts, in ascending id — the order and range of a full scan,
+   which [~incremental:false] runs.  [visit] returns whether the
+   trigger held; such an instance stays a candidate.  Edits made during
+   the scan are marked as they happen, so a later instance they touch
+   is visited in this scan, as a full scan would. *)
+let scan st sc visit =
+  let nl = st.nl in
+  let bound = Netlist.instance_bound nl in
+  cover sc bound;
+  if st.incremental then absorb st sc ~from:sc.from else Array.fill sc.marks 0 bound true;
+  sc.from <- st.synced;
+  let pos = ref (Netlist.edit_count nl) in
+  for id = 0 to bound - 1 do
+    if sc.marks.(id) then begin
+      sc.marks.(id) <- false;
+      match Netlist.instance_opt nl id with
+      | None -> ()
+      | Some inst ->
+        if visit inst then sc.marks.(id) <- true;
+        let now = Netlist.edit_count nl in
+        if now > !pos then begin
+          absorb st sc ~from:!pos;
+          pos := now
+        end
+    end
+  done
 
 (* Refresh the timing analysis after a round of edits.  [Timing.retime]
    follows every edit — swaps, buffering, decomposition — through the
@@ -32,11 +103,20 @@ type state = {
    full analysis instead.  Both yield bit-identical analyses, so
    [incremental] only changes cost, never the optimisation trajectory. *)
 let refresh st timing =
-  if st.incremental then begin
-    Timing.retime timing;
-    timing
-  end
-  else Timing.run (Timing.config timing) st.nl
+  let timing =
+    if st.incremental then begin
+      Timing.retime timing;
+      if st.cons.Constraints.restrictions <> None then
+        Timing.iter_slew_changes timing ~f:(fun nid ->
+            List.iter
+              (fun (r : Netlist.pin_ref) -> mark st.windows r.inst)
+              (Netlist.net st.nl nid).Netlist.sinks);
+      timing
+    end
+    else Timing.run (Timing.config timing) st.nl
+  in
+  st.synced <- Netlist.edit_count st.nl;
+  timing
 
 let worst_input_slew timing nl (inst : Netlist.instance) =
   ignore nl;
@@ -123,9 +203,9 @@ let fix_electrical st timing =
   let nl = st.nl in
   let edits = ref 0 in
   let max_fanout = st.cons.Constraints.max_fanout in
-  Netlist.iter_instances nl ~f:(fun inst ->
-      List.iter
-        (fun (_, nid) ->
+  scan st st.fix (fun inst ->
+      List.fold_left
+        (fun held (_, nid) ->
           let net = Netlist.net nl nid in
           let load = Timing.net_load timing nid in
           let fanout = List.length net.Netlist.sinks in
@@ -135,12 +215,12 @@ let fix_electrical st timing =
           if load > cap_limit || fanout > max_fanout then begin
             (* Prefer a bigger driver; buffer when the ladder is exhausted
                or the fanout rule is violated outright. *)
-            match
-              if fanout > max_fanout then None
-              else
-                Choice.upsize st.cons st.lib inst.cell ~load
-                  ~slew:(worst_input_slew timing nl inst)
-            with
+            (match
+               if fanout > max_fanout then None
+               else
+                 Choice.upsize st.cons st.lib inst.cell ~load
+                   ~slew:(worst_input_slew timing nl inst)
+             with
             | Some bigger ->
               Netlist.set_cell nl inst.inst_id bigger;
               st.resized <- st.resized + 1;
@@ -151,10 +231,11 @@ let fix_electrical st timing =
                   ((fanout + max_fanout - 1) / max_fanout)
                   (1 + int_of_float (load /. Float.max cap_limit 0.001))
               in
-              if buffer_net st ~net_id:nid ~groups then incr edits
-          end)
-        inst.outputs)
-  ;
+              if buffer_net st ~net_id:nid ~groups then incr edits);
+            true
+          end
+          else held)
+        false inst.outputs);
   !edits
 
 (* ------------------------------------------------------------------ *)
@@ -328,32 +409,36 @@ let repair_windows st timing =
   | Some _ ->
     let nl = st.nl in
     let edits = ref 0 in
-    Netlist.iter_instances nl ~f:(fun inst ->
+    scan st st.windows (fun inst ->
         let slew_limit = Constraints.window_slew_max st.cons inst.cell in
-        if slew_limit < infinity then
-          List.iter
-            (fun (pin, nid) ->
-              if Some pin <> inst.cell.Cell.clock_pin then begin
-                let slew = Timing.net_slew timing nid in
-                if slew > slew_limit then begin
-                  (* sharpen the edge: upsize the driving cell *)
-                  match (Netlist.net nl nid).Netlist.driver with
-                  | None -> ()
-                  | Some { inst = drv_id; pin = _ } -> begin
-                    let drv = Netlist.instance nl drv_id in
-                    let drv_slew = worst_input_slew timing nl drv in
-                    let drv_load = Timing.net_load timing nid in
-                    match Choice.upsize st.cons st.lib drv.cell ~load:drv_load ~slew:drv_slew with
-                    | Some bigger ->
-                      Netlist.set_cell nl drv_id bigger;
-                      st.resized <- st.resized + 1;
-                      incr edits
-                    | None -> ()
-                  end
-                end
-              end)
-            inst.inputs)
-    ;
+        slew_limit < infinity
+        && List.fold_left
+             (fun held (pin, nid) ->
+               if Some pin <> inst.cell.Cell.clock_pin then begin
+                 let slew = Timing.net_slew timing nid in
+                 if slew > slew_limit then begin
+                   (* sharpen the edge: upsize the driving cell *)
+                   (match (Netlist.net nl nid).Netlist.driver with
+                   | None -> ()
+                   | Some { inst = drv_id; pin = _ } -> begin
+                     let drv = Netlist.instance nl drv_id in
+                     let drv_slew = worst_input_slew timing nl drv in
+                     let drv_load = Timing.net_load timing nid in
+                     match
+                       Choice.upsize st.cons st.lib drv.cell ~load:drv_load ~slew:drv_slew
+                     with
+                     | Some bigger ->
+                       Netlist.set_cell nl drv_id bigger;
+                       st.resized <- st.resized + 1;
+                       incr edits
+                     | None -> ()
+                   end);
+                   true
+                 end
+                 else held
+               end
+               else held)
+             false inst.inputs);
     !edits
 
 (* ------------------------------------------------------------------ *)
@@ -398,12 +483,14 @@ let recover_area st timing =
 (* ------------------------------------------------------------------ *)
 
 let optimize ?(incremental = true) cons lib nl =
-  let st =
-    { cons; lib; nl; incremental; resized = 0; buffered = 0; decomposed = 0;
-      downsized = 0 }
-  in
   let tconfig = Constraints.timing_config cons in
   let timing = ref (Timing.run tconfig nl) in
+  let synced = Netlist.edit_count nl in
+  let new_scan () = { marks = Array.make (Netlist.instance_bound nl) true; from = synced } in
+  let st =
+    { cons; lib; nl; incremental; fix = new_scan (); windows = new_scan (); synced;
+      resized = 0; buffered = 0; decomposed = 0; downsized = 0 }
+  in
   let iterations = ref 0 in
   let continue_loop = ref true in
   while !continue_loop && !iterations < cons.Constraints.max_iterations do

@@ -44,6 +44,10 @@ val optimize :
     refreshes it between move rounds with {!Vartune_sta.Timing.retime},
     which follows every edit — swaps, buffering, decomposition — through
     the netlist's edit log in O(affected cone) instead of O(design).
-    Retime is bit-identical to a full run, so [~incremental:false] (a
-    full run per refresh) changes cost only; it is the oracle the
-    incremental trajectory is tested against. *)
+    The electrical and window repair scans then visit only candidates:
+    instances the log names since the analysis they last read, drivers
+    of logged nets, readers of nets whose slew moved, and instances whose
+    trigger held at their last visit.  Both are exact, so
+    [~incremental:false] (a full run per refresh and full scans) changes
+    cost only; it is the oracle the incremental trajectory is tested
+    against. *)

@@ -191,7 +191,94 @@ let test_mcu_restrictions_sound () =
     (Printf.sprintf "%d restricted outputs checked" !restricted)
     true (!restricted > 1000);
   Alcotest.(check int) "recount = sizer's count" r.Synthesis.sizer.Sizer.window_violations
-    violations
+    violations;
+  (* the tuned trajectory itself, pinned: any change to how the sizer
+     finds its candidates must land on the same netlist *)
+  Alcotest.(check int) "window violations" 44 r.Synthesis.sizer.Sizer.window_violations;
+  Alcotest.(check string) "area bits" "0x1.e12a8f5c28b51p+14" (Printf.sprintf "%h" r.Synthesis.area)
+
+(* The per-cell window summaries behind [Constraints] against the
+   per-pin table they summarise: for every cell of the full-catalog
+   library under each of the paper's five methods, [allows], [usable],
+   [window_load_max] and [window_slew_max] must equal a fold over the
+   cell's output pins written here from [Restrict.find] alone, at every
+   window edge, the midpoints between them and points beyond. *)
+let test_window_summary_oracle () =
+  let module Restrict = Vartune_tuning.Restrict in
+  let module Cell = Vartune_liberty.Cell in
+  let module Pin = Vartune_liberty.Pin in
+  let lib = Lazy.force mcu_statlib in
+  let bits = Int64.bits_of_float in
+  let axis edges =
+    let xs = List.sort_uniq Float.compare (0.0 :: 10.0 :: edges) in
+    let rec mids = function a :: (b :: _ as rest) -> ((a +. b) /. 2.0) :: mids rest | _ -> [] in
+    xs @ mids xs
+  in
+  let points = ref 0 in
+  List.iter
+    (fun (bound, ceiling) ->
+      List.iter
+        (fun m ->
+          let table = Tuning_method.restrictions m lib in
+          let cons = Constraints.make ~clock_period:7.0 ~restrictions:table () in
+          List.iter
+            (fun (cell : Cell.t) ->
+              let statuses =
+                List.map
+                  (fun (p : Pin.t) -> Restrict.find table ~cell:cell.Cell.name ~pin:p.Pin.name)
+                  (Cell.output_pins cell)
+              in
+              let name what =
+                Printf.sprintf "%s, %s: %s" (Tuning_method.name m) cell.Cell.name what
+              in
+              let tightest field =
+                List.fold_left
+                  (fun acc -> function
+                    | Restrict.Unrestricted -> acc
+                    | Restrict.Unusable -> Float.min acc 0.0
+                    | Restrict.Window w -> Float.min acc (field w))
+                  infinity statuses
+              in
+              Alcotest.(check bool) (name "usable")
+                (List.for_all (function Restrict.Unusable -> false | _ -> true) statuses)
+                (Constraints.usable cons cell);
+              Alcotest.(check int64) (name "load max")
+                (bits (tightest (fun w -> w.Restrict.load_max)))
+                (bits (Constraints.window_load_max cons cell));
+              Alcotest.(check int64) (name "slew max")
+                (bits (tightest (fun w -> w.Restrict.slew_max)))
+                (bits (Constraints.window_slew_max cons cell));
+              let windows =
+                List.filter_map (function Restrict.Window w -> Some w | _ -> None) statuses
+              in
+              let slews =
+                axis (List.concat_map (fun w -> [ w.Restrict.slew_min; w.slew_max ]) windows)
+              and loads =
+                axis (List.concat_map (fun w -> [ w.Restrict.load_min; w.load_max ]) windows)
+              in
+              List.iter
+                (fun slew ->
+                  List.iter
+                    (fun load ->
+                      incr points;
+                      let want =
+                        List.for_all
+                          (function
+                            | Restrict.Unrestricted -> true
+                            | Restrict.Unusable -> false
+                            | Restrict.Window w ->
+                              w.Restrict.slew_min <= slew && slew <= w.slew_max
+                              && w.load_min <= load && load <= w.load_max)
+                          statuses
+                      in
+                      if Constraints.allows cons ~cell ~slew ~load <> want then
+                        Alcotest.failf "%s" (name (Printf.sprintf "allows %h %h" slew load)))
+                    loads)
+                slews)
+            (Library.cells lib))
+        (Tuning_method.paper_methods ~bound ~ceiling))
+    [ (0.03, 0.02); (0.01, 0.01) ];
+  Alcotest.(check bool) (Printf.sprintf "%d points checked" !points) true (!points > 100_000)
 
 let test_statistical_library_drives_path_sigma () =
   (* a path through the statistical library must carry nonzero sigma,
@@ -224,6 +311,7 @@ let () =
           Alcotest.test_case "mcu verilog roundtrip" `Slow test_mcu_verilog_roundtrip;
           Alcotest.test_case "mcu hold clean" `Slow test_mcu_hold_clean;
           Alcotest.test_case "mcu restrictions sound" `Slow test_mcu_restrictions_sound;
+          Alcotest.test_case "window summary oracle" `Slow test_window_summary_oracle;
           Alcotest.test_case "path sigma scaling" `Quick test_statistical_library_drives_path_sigma;
         ] );
     ]

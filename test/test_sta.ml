@@ -739,6 +739,38 @@ let test_retime_matches_run =
       done;
       true)
 
+(* [iter_slew_changes] against a diff of every net's slew around each
+   structural edit and its retime: exactly the nets whose slew bits
+   moved are reported, each once (a net the edit created read the input
+   slew before). *)
+let test_retime_reports_slew_changes =
+  Helpers.qtest ~count:40 ~long_factor:15 "retime reports every moved slew"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nl, _ = random_dag rng in
+      let t = Timing.run config nl in
+      Timing.iter_slew_changes t ~f:(fun nid ->
+          QCheck2.Test.fail_reportf "seed %d: run reported net %d" seed nid);
+      for edit = 1 to 1 + Rng.int rng 8 do
+        let before = Array.init (Netlist.net_count nl) (Timing.net_slew t) in
+        structural_edit rng nl;
+        Timing.retime t;
+        let reported = Array.make (Netlist.net_count nl) false in
+        Timing.iter_slew_changes t ~f:(fun nid ->
+            if reported.(nid) then
+              QCheck2.Test.fail_reportf "seed %d, edit %d: net %d reported twice" seed edit nid;
+            reported.(nid) <- true);
+        for nid = 0 to Netlist.net_count nl - 1 do
+          let old = if nid < Array.length before then before.(nid) else config.input_slew in
+          let now = Timing.net_slew t nid in
+          if (bits old <> bits now) <> reported.(nid) then
+            QCheck2.Test.fail_reportf "seed %d, edit %d: net %d slew %h -> %h, reported %b" seed
+              edit nid old now reported.(nid)
+        done
+      done;
+      true)
+
 (* --------------------------- golden digests ----------------------- *)
 
 (* MD5 over every observable of an analysis, bit for bit: per net its
@@ -856,7 +888,9 @@ let () =
           Alcotest.test_case "fewer evals on local move" `Quick test_retime_fewer_evals;
           test_retime_random_sequences;
         ] );
-      ("oracle", [ test_run_matches_reference; test_retime_matches_run ]);
+      ( "oracle",
+        [ test_run_matches_reference; test_retime_matches_run; test_retime_reports_slew_changes ]
+      );
       ( "golden",
         [
           Alcotest.test_case "mapped mcu digest" `Slow test_golden_mapped;

@@ -160,6 +160,19 @@ let test_key_no_aliasing () =
   let nz = Key.(hex (float (v "f") "x" (-0.0))) in
   Alcotest.(check bool) "signed zero distinguished" true (pz <> nz)
 
+(* The published FNV-1a 64 test vectors (standard offset basis), and
+   hashing that allocates the same few words whatever the length. *)
+let test_fnv1a64 () =
+  let fnv s = Printf.sprintf "%016Lx" (Key.fnv1a64 0xcbf29ce484222325L s) in
+  Alcotest.(check string) "empty" "cbf29ce484222325" (fnv "");
+  Alcotest.(check string) "a" "af63dc4c8601ec8c" (fnv "a");
+  Alcotest.(check string) "foobar" "85944171f73967e8" (fnv "foobar");
+  let big = String.make 1_000_000 'x' in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Key.fnv1a64 0xcbf29ce484222325L big));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1 MB" words) true (words < 100.0)
+
 (* ------------------------------------------------------------------ *)
 (* Corruption recovery                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -637,6 +650,7 @@ let () =
         [
           Alcotest.test_case "sensitivity" `Quick test_key_sensitivity;
           Alcotest.test_case "no aliasing" `Quick test_key_no_aliasing;
+          Alcotest.test_case "fnv1a64 vectors" `Quick test_fnv1a64;
         ] );
       ( "corruption",
         [

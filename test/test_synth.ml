@@ -340,35 +340,139 @@ let test_verilog_of_synthesised_roundtrip =
       && Netlist.instance_count back = Netlist.instance_count r.Synthesis.netlist
       && Netlist.cell_usage back = Netlist.cell_usage r.Synthesis.netlist)
 
-(* Incremental retiming inside the sizer is an optimisation of the
-   analysis only: the optimisation trajectory — every move, and with it
-   the final netlist, timing and report — must be identical with it on
-   and off. *)
+(* Incremental retiming inside the sizer, and the candidate-only scans
+   that come with it, are optimisations of the analysis only: the
+   optimisation trajectory — every move, and with it the final netlist,
+   timing and report — must be identical with them on and off. *)
+let same_sizing name cons lib design =
+  let bits = Int64.bits_of_float in
+  let full = Synthesis.run ~incremental:false cons lib (design ()) in
+  let inc = Synthesis.run ~incremental:true cons lib (design ()) in
+  let name what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check bool)
+    (name "worst slack bits") true
+    (bits full.Synthesis.worst_slack = bits inc.Synthesis.worst_slack);
+  Alcotest.(check bool)
+    (name "area bits") true
+    (bits full.Synthesis.area = bits inc.Synthesis.area);
+  Alcotest.(check int) (name "instances") full.Synthesis.instances
+    inc.Synthesis.instances;
+  Alcotest.(check bool)
+    (name "sizer report") true
+    (full.Synthesis.sizer = inc.Synthesis.sizer);
+  Alcotest.(check bool)
+    (name "cell usage") true
+    (Netlist.cell_usage full.Synthesis.netlist
+    = Netlist.cell_usage inc.Synthesis.netlist)
+
+let ceiling_table lib =
+  Vartune_tuning.Tuning_method.restrictions
+    { Vartune_tuning.Tuning_method.population = Vartune_tuning.Cluster.Per_cell;
+      criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02 }
+    lib
+
 let test_incremental_sizing_identical () =
   let lib = Lazy.force full_lib in
-  let bits = Int64.bits_of_float in
   List.iter
     (fun period ->
       let cons = Constraints.make ~clock_period:period ~area_recovery:true () in
-      let full = Synthesis.run ~incremental:false cons lib (small_design ()) in
-      let inc = Synthesis.run ~incremental:true cons lib (small_design ()) in
-      let name what = Printf.sprintf "period %.1f: %s" period what in
-      Alcotest.(check bool)
-        (name "worst slack bits") true
-        (bits full.Synthesis.worst_slack = bits inc.Synthesis.worst_slack);
-      Alcotest.(check bool)
-        (name "area bits") true
-        (bits full.Synthesis.area = bits inc.Synthesis.area);
-      Alcotest.(check int) (name "instances") full.Synthesis.instances
-        inc.Synthesis.instances;
-      Alcotest.(check bool)
-        (name "sizer report") true
-        (full.Synthesis.sizer = inc.Synthesis.sizer);
-      Alcotest.(check bool)
-        (name "cell usage") true
-        (Netlist.cell_usage full.Synthesis.netlist
-        = Netlist.cell_usage inc.Synthesis.netlist))
+      same_sizing (Printf.sprintf "period %.1f" period) cons lib small_design)
+    [ 8.0; 1.2 ];
+  (* tuned: a cell/ceiling=0.02 table confines every choice to its
+     windows, so the window repair scan runs too *)
+  let slib = Lazy.force Helpers.small_statlib in
+  let table = ceiling_table slib in
+  List.iter
+    (fun period ->
+      let cons = Constraints.make ~clock_period:period ~restrictions:table () in
+      same_sizing (Printf.sprintf "restricted, period %.1f" period) cons slib small_design)
     [ 8.0; 1.2 ]
+
+(* Random gate DAGs, registered and not, under random clocks, fanout
+   limits and restriction tables (none, or one of the paper's five
+   methods): the sizer's candidate-only scans must follow the full
+   scans' trajectory exactly. *)
+let random_dag_ir rng =
+  let module Rng = Vartune_util.Rng in
+  let g = Ir.create ~name:"dag" in
+  let avail =
+    ref (List.init (3 + Rng.int rng 4) (fun i -> Ir.input g (Printf.sprintf "i%d" i)))
+  in
+  (* half the picks from a few early nodes: high-fanout nets to buffer *)
+  let pick () =
+    let n = List.length !avail in
+    List.nth !avail (if Rng.int rng 2 = 0 then n - 1 - Rng.int rng (min n 4) else Rng.int rng n)
+  in
+  for _ = 1 to 20 + Rng.int rng 120 do
+    let node =
+      match Rng.int rng 10 with
+      | 0 -> Ir.not_ g (pick ())
+      | 1 -> Ir.and2 g (pick ()) (pick ())
+      | 2 -> Ir.or2 g (pick ()) (pick ())
+      | 3 -> Ir.xor2 g (pick ()) (pick ())
+      | 4 -> Ir.nand2 g (pick ()) (pick ())
+      | 5 -> Ir.nor2 g (pick ()) (pick ())
+      | 6 -> Ir.mux2 g ~a:(pick ()) ~b:(pick ()) ~s:(pick ())
+      | 7 -> Ir.xor3 g (pick ()) (pick ()) (pick ())
+      | 8 -> Ir.maj3 g (pick ()) (pick ()) (pick ())
+      | _ -> Ir.ff g ~d:(pick ()) ()
+    in
+    avail := node :: !avail
+  done;
+  List.iteri
+    (fun i node -> if i < 3 || Rng.int rng 4 = 0 then Ir.output g (Printf.sprintf "o%d" i) node)
+    !avail;
+  g
+
+(* the paper's five methods at a moderate and a tight setting *)
+let paper_tables =
+  lazy
+    (List.concat_map
+       (fun (bound, ceiling) ->
+         List.map
+           (fun m ->
+             Vartune_tuning.Tuning_method.restrictions m (Lazy.force Helpers.small_statlib))
+           (Vartune_tuning.Tuning_method.paper_methods ~bound ~ceiling))
+       [ (0.03, 0.02); (0.01, 0.01) ])
+
+let scans_agree seed =
+  let module Rng = Vartune_util.Rng in
+  let rng = Rng.create seed in
+  let lib = Lazy.force Helpers.small_statlib in
+  let g = random_dag_ir rng in
+  let periods = [| 0.6; 1.2; 2.5; 6.0 |] in
+  let clock_period = periods.(Rng.int rng (Array.length periods)) in
+  let max_fanout = 2 + Rng.int rng 15 in
+  let restrictions =
+    match Rng.int rng 11 with
+    | 10 -> None
+    | m -> Some (List.nth (Lazy.force paper_tables) m)
+  in
+  let cons = Constraints.make ~clock_period ~max_fanout ?restrictions () in
+  let full = Synthesis.run ~incremental:false cons lib g in
+  let inc = Synthesis.run ~incremental:true cons lib g in
+  let bits = Int64.bits_of_float in
+  if full.Synthesis.sizer <> inc.Synthesis.sizer then
+    QCheck2.Test.fail_reportf "seed %d: sizer reports differ" seed;
+  if bits full.Synthesis.area <> bits inc.Synthesis.area then
+    QCheck2.Test.fail_reportf "seed %d: area %h <> %h" seed full.Synthesis.area
+      inc.Synthesis.area;
+  if bits full.Synthesis.worst_slack <> bits inc.Synthesis.worst_slack then
+    QCheck2.Test.fail_reportf "seed %d: worst slack differs" seed;
+  Netlist.cell_usage full.Synthesis.netlist = Netlist.cell_usage inc.Synthesis.netlist
+
+let test_scans_follow_full_scans =
+  Helpers.qtest ~count:20 ~long_factor:25 "candidate scans = full scans on random DAGs"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    scans_agree
+
+(* Seeds on which scans that drop an instance whose trigger held but
+   whose repair did nothing (no bigger cell fitted yet) leave the full
+   scans' trajectory: random cases reach that rule only rarely. *)
+let test_scans_retry_held_triggers () =
+  List.iter
+    (fun seed -> Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (scans_agree seed))
+    [ 6078; 9975; 20621; 32324; 38505 ]
 
 let test_min_period_bisection () =
   let lib = Lazy.force full_lib in
@@ -449,5 +553,10 @@ let () =
             test_incremental_sizing_identical;
           Alcotest.test_case "min period bisection" `Slow test_min_period_bisection;
           Alcotest.test_case "mcu min period STA counters" `Slow test_min_period_sta_counters;
+        ] );
+      ( "scans",
+        [
+          test_scans_follow_full_scans;
+          Alcotest.test_case "held triggers are retried" `Quick test_scans_retry_held_triggers;
         ] );
     ]

@@ -404,6 +404,32 @@ let test_table_semantics () =
   Alcotest.(check bool) "allows honours unusable" false
     (Restrict.allows table ~cell:"X" ~pin:"Z" ~slew:0.1 ~load:0.001)
 
+(* A later [set] replaces a pin's entry, and the cell's summary follows:
+   a looser entry must loosen it again. *)
+let test_table_replaces () =
+  let table = Restrict.empty_table () in
+  let w slew_max load_max =
+    Restrict.Window { Restrict.slew_min = 0.0; slew_max; load_min = 0.0; load_max }
+  in
+  Restrict.set table ~cell:"X" ~pin:"Z" Restrict.Unusable;
+  Restrict.set table ~cell:"X" ~pin:"Y" (w 0.5 0.05);
+  Restrict.set table ~cell:"X" ~pin:"Z" (w 0.2 0.01);
+  let s = Restrict.summary table ~cell:"X" in
+  Alcotest.(check bool) "find sees the replacement" true
+    (Restrict.find table ~cell:"X" ~pin:"Z" = w 0.2 0.01);
+  Alcotest.(check bool) "usable again" true s.Restrict.usable;
+  Alcotest.(check (float 0.0)) "tightest load" 0.01 s.Restrict.load_max;
+  Alcotest.(check (float 0.0)) "tightest slew" 0.2 s.Restrict.slew_max;
+  Alcotest.(check bool) "inside both" true (Restrict.summary_allows s ~slew:0.1 ~load:0.005);
+  Alcotest.(check bool) "outside Z only" false (Restrict.summary_allows s ~slew:0.3 ~load:0.005);
+  Restrict.set table ~cell:"X" ~pin:"Z" Restrict.Unrestricted;
+  let s = Restrict.summary table ~cell:"X" in
+  Alcotest.(check (float 0.0)) "Y's load alone" 0.05 s.Restrict.load_max;
+  Alcotest.(check bool) "Y's window alone" true (Restrict.summary_allows s ~slew:0.3 ~load:0.03);
+  Alcotest.(check int) "one entry per pin" 2 (List.length (Restrict.restricted_pins table));
+  Alcotest.(check bool) "absent cell" true
+    (Restrict.summary table ~cell:"W" = Restrict.unrestricted)
+
 let test_restriction_fraction_bounds () =
   let tuning =
     { Tuning_method.population = Cluster.Per_cell; criterion = Threshold.Sigma_ceiling 0.015 }
@@ -567,6 +593,7 @@ let () =
             test_pin_window_conservative_across_arcs;
           test_slope_nonnegative_on_monotone;
           Alcotest.test_case "table semantics" `Quick test_table_semantics;
+          Alcotest.test_case "set replaces" `Quick test_table_replaces;
           Alcotest.test_case "restriction fraction" `Quick test_restriction_fraction_bounds;
           Alcotest.test_case "ceiling monotone" `Quick test_ceiling_monotone_removal;
         ] );
