@@ -35,7 +35,6 @@ module Run_report = Vartune_flow.Run_report
 module Serve = Vartune_serve.Serve
 module Client = Vartune_serve.Client
 module Loadgen = Vartune_serve.Loadgen
-module Bench_diff = Vartune_obs.Bench_diff
 module Journal = Vartune_journal.Journal
 module Log = Common_opts.Log
 
@@ -305,85 +304,6 @@ let report_cmd =
           run (blocks, checkpoints, ETA).")
     Term.(const run $ Common_opts.request_term $ files_arg $ report_run_dir_arg $ json_flag)
 
-let bench_diff_cmd =
-  let old_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline BENCH_*.json (the committed history).")
-  in
-  let new_arg =
-    Arg.(
-      required & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Freshly measured BENCH_*.json to compare against OLD.")
-  in
-  let tol_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f >= 0.0 -> Ok f
-      | _ -> Error (`Msg (Printf.sprintf "expected a non-negative tolerance, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
-  let tol_arg name ~default ~doc =
-    Arg.(value & opt tol_conv default & info [ name ] ~docv:"FRACTION" ~doc)
-  in
-  let informational_arg =
-    Arg.(
-      value & flag
-      & info [ "informational" ]
-          ~doc:
-            "Report regressions but exit 0 anyway — for single-core or otherwise \
-             noisy environments where the gate should not fail the build.")
-  in
-  let run (common : Common_opts.t) old_path new_path tol_time tol_speedup tol_count
-      informational json =
-    Common_opts.setup common;
-    Common_opts.guard @@ fun () ->
-    let load path =
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Vartune_obs.Json.parse s with
-      | Ok j -> j
-      | Error e ->
-        Log.err (fun m -> m "%s: %s" path e);
-        exit 65 (* EX_DATAERR *)
-    in
-    let old_json = load old_path and new_json = load new_path in
-    let tol = { Bench_diff.time = tol_time; speedup = tol_speedup; count = tol_count } in
-    let findings = Bench_diff.diff ~tol ~old_json ~new_json () in
-    print_string
-      ((if json then Bench_diff.to_json else Bench_diff.to_text) findings);
-    match Bench_diff.regressions findings with
-    | [] -> ()
-    | regs ->
-      Log.err (fun m ->
-          m "%d bench regression%s against %s%s" (List.length regs)
-            (if List.length regs = 1 then "" else "s")
-            old_path
-            (if informational then " (informational: not failing)" else ""));
-      if not informational then exit 1
-  in
-  Cmd.v
-    (cmd_info "bench-diff"
-       ~doc:
-         "Compare two BENCH_*.json files with per-metric tolerances: wall-clock seconds \
-          (default $(b,--tol-time) 0.5), speedup ratios ($(b,--tol-speedup) 0.1) and \
-          deterministic work counts ($(b,--tol-count) 0.02). Exits 0 when clean, 1 on a \
-          regression, 65 on malformed JSON.")
-    Term.(
-      const run $ Common_opts.term $ old_arg $ new_arg
-      $ tol_arg "tol-time" ~default:Bench_diff.default_tolerances.Bench_diff.time
-          ~doc:"Relative tolerance for wall-clock metrics (seconds, *_s)."
-      $ tol_arg "tol-speedup" ~default:Bench_diff.default_tolerances.Bench_diff.speedup
-          ~doc:"Relative tolerance for higher-is-better ratios (speedup)."
-      $ tol_arg "tol-count" ~default:Bench_diff.default_tolerances.Bench_diff.count
-          ~doc:"Relative tolerance for deterministic work counts (node_evals, sta_runs, eval_ratio)."
-      $ informational_arg $ json_flag)
-
 (* One subcommand that touches every instrumented stage — characterise,
    statistical merge, synthesis + STA (baseline and tuned), a tuning
    parameter sweep and a path-level Monte Carlo — so a single
@@ -641,7 +561,7 @@ let main_cmd =
   Cmd.group (Cmd.info "vartune" ~version:"1.0.0" ~doc ~man:Common_opts.man)
     [
       characterize_cmd; statlib_cmd; tune_cmd; synth_cmd; min_period_cmd; experiment_cmd;
-      resume_cmd; journal_cmd; figures_cmd; report_cmd; bench_diff_cmd; serve_cmd;
+      resume_cmd; journal_cmd; figures_cmd; report_cmd; serve_cmd;
       loadgen_cmd; parse_cmd;
     ]
 

@@ -224,13 +224,13 @@ let of_line line =
           match priority_of_string s with
           | Some p -> Some p
           | None ->
-            bad "field \"priority\": unknown priority %S (want interactive or batch)" s)
+            bad "field %S: unknown priority %S (want interactive or batch)" "priority" s)
       in
       let deadline_s =
         match get_float_opt "deadline_s" json with
         | None -> None
         | Some d when d > 0.0 && Float.is_finite d -> Some d
-        | Some d -> bad "field \"deadline_s\": %g is not a positive finite number" d
+        | Some d -> bad "field %S: %g is not a positive finite number" "deadline_s" d
       in
       let t =
         match get_string_opt "kind" json with

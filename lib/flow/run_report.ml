@@ -22,7 +22,6 @@ type timeline = {
 
 type t = {
   profile : Profile.t option;
-  metrics_raw : string option;  (* original metrics file, already JSON *)
   metrics : Json.t option;
   timeline : timeline option;
 }
@@ -84,13 +83,12 @@ let build ?trace ?metrics ?run_dir () =
         | Ok p -> Ok (Some p)
         | Error e -> Error (Printf.sprintf "%s: %s" path e))
     in
-    let* metrics_raw, metrics =
+    let* metrics =
       match metrics with
-      | None -> Ok (None, None)
+      | None -> Ok None
       | Some path -> (
-        let raw = read_file path in
-        match Json.parse raw with
-        | Ok j -> Ok (Some raw, Some j)
+        match Json.parse (read_file path) with
+        | Ok j -> Ok (Some j)
         | Error e -> Error (Printf.sprintf "%s: %s" path e))
     in
     let timeline =
@@ -98,7 +96,7 @@ let build ?trace ?metrics ?run_dir () =
         (fun dir -> timeline_of_steps (Journal.replay_timed (Run.journal_path dir)))
         run_dir
     in
-    Ok { profile; metrics_raw; metrics; timeline }
+    Ok { profile; metrics; timeline }
 
 (* Same sniffing the CLI uses for positional files: a JSON document
    with [traceEvents] is a trace, one with [counters] is a metrics
@@ -207,36 +205,33 @@ let to_text t =
     t.timeline;
   Buffer.contents buf
 
+let timeline_json tl =
+  let first = match tl.steps with [] -> 0L | s :: _ -> s.Journal.at_ns in
+  let step (s : Journal.timed) =
+    Json.Object
+      [
+        ("at_s", Json.Number (Int64.to_float (Int64.sub s.Journal.at_ns first) /. 1e9));
+        ("step", Json.String (Journal.step_to_string s.Journal.step));
+      ]
+  in
+  Json.Object
+    [
+      ("steps", Json.Array (List.map step tl.steps));
+      ("samples", Json.int tl.samples);
+      ("samples_done", Json.int tl.samples_done);
+      ("blocks", Json.int tl.blocks);
+      ("checkpoints", Json.int tl.checkpoints);
+      ("elapsed_s", Json.Number tl.elapsed_s);
+      ("sealed", match tl.sealed with Some r -> Json.String r | None -> Json.Null);
+    ]
+
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n\"profile\": ";
-  (match t.profile with
-  | Some p -> Buffer.add_string buf (String.trim (Profile.to_json p))
-  | None -> Buffer.add_string buf "null");
-  Buffer.add_string buf ",\n\"metrics\": ";
-  (match t.metrics_raw with
-  | Some raw -> Buffer.add_string buf (String.trim raw)
-  | None -> Buffer.add_string buf "null");
-  Buffer.add_string buf ",\n\"journal\": ";
-  (match t.timeline with
-  | None -> Buffer.add_string buf "null"
-  | Some tl ->
-    let first = match tl.steps with [] -> 0L | s :: _ -> s.Journal.at_ns in
-    Buffer.add_string buf "{\n  \"steps\": [\n";
-    List.iteri
-      (fun i (s : Journal.timed) ->
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"at_s\": %s, \"step\": %S}%s\n"
-             (Obs.float_json (Int64.to_float (Int64.sub s.Journal.at_ns first) /. 1e9))
-             (Journal.step_to_string s.Journal.step)
-             (if i = List.length tl.steps - 1 then "" else ",")))
-      tl.steps;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  ],\n  \"samples\": %d,\n  \"samples_done\": %d,\n  \"blocks\": %d,\n  \
-          \"checkpoints\": %d,\n  \"elapsed_s\": %s,\n  \"sealed\": %s\n}"
-         tl.samples tl.samples_done tl.blocks tl.checkpoints
-         (Obs.float_json tl.elapsed_s)
-         (match tl.sealed with Some r -> Printf.sprintf "%S" r | None -> "null")));
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let opt f = function Some x -> f x | None -> Json.Null in
+  Json.to_string
+    (Json.Object
+       [
+         ("profile", opt Profile.to_json t.profile);
+         ("metrics", opt Fun.id t.metrics);
+         ("journal", opt timeline_json t.timeline);
+       ])
+  ^ "\n"

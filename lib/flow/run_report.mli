@@ -17,7 +17,6 @@ type timeline = {
 
 type t = {
   profile : Vartune_obs.Profile.t option;
-  metrics_raw : string option;
   metrics : Vartune_obs.Json.t option;
   timeline : timeline option;
 }
@@ -34,4 +33,7 @@ val classify_file : string -> ([ `Trace | `Metrics ], string) result
     [counters] a metrics file. *)
 
 val to_text : t -> string
+
 val to_json : t -> string
+(** [{"profile": ..., "metrics": ..., "journal": ...}] on one line and
+    a newline; an absent source is [null]. *)

@@ -1,6 +1,5 @@
 module Obs = Vartune_obs.Obs
 module Profile = Vartune_obs.Profile
-module Json = Vartune_obs.Json
 
 (* A report request with no sources reports on this process's own live
    telemetry — the serve daemon's full-report endpoint.  File-backed
@@ -13,8 +12,7 @@ let eval_report ~trace ~metrics ~run_dir ~json =
       Ok
         {
           Run_report.profile = Some (Profile.of_events (Obs.events ()));
-          metrics_raw = Some (Obs.metrics_json ());
-          metrics = Result.to_option (Json.parse (Obs.metrics_json ()));
+          metrics = Some (Obs.metrics_json ());
           timeline = None;
         }
     | _ -> Run_report.build ?trace ?metrics ?run_dir ()

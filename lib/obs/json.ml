@@ -186,8 +186,7 @@ let add_escaped buf s =
   Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
 
-let to_string v =
-  let buf = Buffer.create 256 in
+let add buf v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -208,5 +207,11 @@ let to_string v =
         kvs;
       Buffer.add_char buf '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  add buf v;
   Buffer.contents buf
+
+let int n = Number (float_of_int n)

@@ -1,8 +1,12 @@
-(** Minimal JSON reader for validating the telemetry exporters.
+(** The one JSON reader and writer of the project.
 
-    Recursive-descent parser over the full JSON grammar minus exotic
-    number forms; enough to round-trip everything {!Obs} emits and the
-    bench harness writes.  No external dependencies. *)
+    Every exported document (metrics, Chrome trace, profile, run
+    report, load-generator results, daemon replies, the request and
+    response codecs) is built as a {!t} and printed by {!to_string} or
+    {!add}, so there is a single float renderer ({!float_string},
+    bit-exact) and a single string escaper.  The reader is a
+    recursive-descent parser over the full JSON grammar minus exotic
+    number forms.  No external dependencies. *)
 
 type t =
   | Null
@@ -29,9 +33,12 @@ val to_list : t -> t list option
 val float_string : float -> string
 (** Shortest decimal rendering of a finite float that parses back to
     the identical bit pattern (tries ["%.15g"] then ["%.17g"]).
-    Integers within 2^53 render without a fractional part.  Non-finite
-    values render as [null] tokens are not representable in JSON, so
-    [nan]/[inf] map to ["null"]. *)
+    Integers within 2^53 render without a fractional part.  JSON has
+    no token for a non-finite value, so [nan] and the infinities render
+    as ["null"]. *)
+
+val int : int -> t
+(** [Number] of an integer; exact within 2{^ 53}. *)
 
 val to_string : t -> string
 (** Compact one-line serialization.  Strings escape the quote, the
@@ -39,3 +46,7 @@ val to_string : t -> string
     verbatim (UTF-8 assumed).  [parse (to_string v)] yields a
     value structurally equal to [v] (object key order preserved,
     finite floats bit-exact). *)
+
+val add : Buffer.t -> t -> unit
+(** [add buf v] appends [to_string v] to [buf]; lets a large document
+    be written one element at a time. *)

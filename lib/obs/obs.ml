@@ -281,141 +281,96 @@ let reset () =
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape_json buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  escape_json buf s;
-  Buffer.add_char buf '"'
-
-let float_json v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
 (* JSON has no 64-bit integers; wall-clock ns go out as strings. *)
-let add_args buf ~wall ~gc attrs =
-  Buffer.add_string buf "{\"wall_start_ns\":";
-  add_str buf (Int64.to_string wall);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"gc_minor_words\":%s,\"gc_major_words\":%s,\"gc_minor_collections\":%d,\"gc_major_collections\":%d"
-       (float_json gc.minor_words) (float_json gc.major_words) gc.minor_collections
-       gc.major_collections);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ',';
-      add_str buf k;
-      Buffer.add_char buf ':';
-      add_str buf v)
-    attrs;
-  Buffer.add_char buf '}'
+let event_json e =
+  Json.Object
+    [
+      ("ph", Json.String "X");
+      ("pid", Json.int 1);
+      ("tid", Json.int e.dom);
+      ("name", Json.String e.name);
+      ("cat", Json.String "vartune");
+      ("ts", Json.Number e.ts_us);
+      ("dur", Json.Number e.dur_us);
+      ( "args",
+        Json.Object
+          ([
+             ("wall_start_ns", Json.String (Int64.to_string e.wall_start_ns));
+             ("gc_minor_words", Json.Number e.gc.minor_words);
+             ("gc_major_words", Json.Number e.gc.major_words);
+             ("gc_minor_collections", Json.int e.gc.minor_collections);
+             ("gc_major_collections", Json.int e.gc.major_collections);
+           ]
+          @ List.map (fun (k, v) -> (k, Json.String v)) e.attrs) );
+    ]
 
+let thread_name_json dom =
+  Json.Object
+    [
+      ("ph", Json.String "M");
+      ("pid", Json.int 1);
+      ("tid", Json.int dom);
+      ("name", Json.String "thread_name");
+      ("args", Json.Object [ ("name", Json.String (Printf.sprintf "domain-%d" dom)) ]);
+    ]
+
+(* Written one event at a time, so a long trace never exists as one
+   [Json.t] tree. *)
 let trace_json () =
   let evs = events () in
   let doms = List.sort_uniq compare (List.map (fun e -> e.dom) evs) in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  Buffer.add_string buf {|{"displayTimeUnit":"ms","traceEvents":[|};
   let first = ref true in
-  let sep () =
+  let add j =
     if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n  "
+    Json.add buf j
   in
-  List.iter
-    (fun dom ->
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"domain-%d\"}}"
-           dom dom))
-    doms;
-  List.iter
-    (fun e ->
-      sep ();
-      Buffer.add_string buf "{\"ph\":\"X\",\"pid\":1,\"tid\":";
-      Buffer.add_string buf (string_of_int e.dom);
-      Buffer.add_string buf ",\"name\":";
-      add_str buf e.name;
-      Buffer.add_string buf ",\"cat\":\"vartune\",\"ts\":";
-      Buffer.add_string buf (Printf.sprintf "%.3f" e.ts_us);
-      Buffer.add_string buf ",\"dur\":";
-      Buffer.add_string buf (Printf.sprintf "%.3f" e.dur_us);
-      Buffer.add_string buf ",\"args\":";
-      add_args buf ~wall:e.wall_start_ns ~gc:e.gc e.attrs;
-      Buffer.add_char buf '}')
-    evs;
-  Buffer.add_string buf "\n]}\n";
+  List.iter (fun dom -> add (thread_name_json dom)) doms;
+  List.iter (fun e -> add (event_json e)) evs;
+  Buffer.add_string buf "]}";
   Buffer.contents buf
 
 let metrics_schema_version = 1
 
+let histogram_json s =
+  (* non-empty buckets as [upper_edge, count] pairs; the overflow
+     bucket's infinite edge is reported as the observed max *)
+  let buckets =
+    Array.to_seqi s.buckets
+    |> Seq.filter_map (fun (i, c) ->
+           if c = 0 then None
+           else
+             let u = Buckets.upper i in
+             let u = if Float.is_finite u then u else s.max_v in
+             Some (Json.Array [ Json.Number u; Json.int c ]))
+    |> List.of_seq
+  in
+  Json.Object
+    ([
+       ("count", Json.int s.count);
+       ("sum", Json.Number s.sum);
+       ("min", Json.Number s.min_v);
+       ("max", Json.Number s.max_v);
+       ("mean", Json.Number (if s.count = 0 then 0.0 else s.sum /. float_of_int s.count));
+     ]
+    @ List.map
+        (fun (label, q) -> (label, Json.Number (histogram_quantile s q)))
+        [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
+    @ [ ("buckets", Json.Array buckets) ])
+
 let metrics_json () =
   let all = metrics () in
-  let section buf label filter render =
-    Buffer.add_string buf (Printf.sprintf "\"%s\":{" label);
-    let first = ref true in
-    List.iter
-      (fun (name, v) ->
-        match filter v with
-        | None -> ()
-        | Some payload ->
-          if !first then first := false else Buffer.add_char buf ',';
-          Buffer.add_string buf "\n    ";
-          add_str buf name;
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (render payload))
-      all;
-    Buffer.add_string buf "\n  }"
+  let section pick =
+    Json.Object (List.filter_map (fun (name, v) -> Option.map (fun j -> (name, j)) (pick v)) all)
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"schema\":%d,\n  " metrics_schema_version);
-  section buf "counters"
-    (function Count c -> Some c | _ -> None)
-    string_of_int;
-  Buffer.add_string buf ",\n  ";
-  section buf "gauges" (function Value v -> Some v | _ -> None) float_json;
-  Buffer.add_string buf ",\n  ";
-  section buf "histograms"
-    (function Stats s -> Some s | _ -> None)
-    (fun s ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"mean\":%s" s.count
-           (float_json s.sum) (float_json s.min_v) (float_json s.max_v)
-           (float_json (if s.count = 0 then 0.0 else s.sum /. float_of_int s.count)));
-      List.iter
-        (fun (label, q) ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s\":%s" label (float_json (histogram_quantile s q))))
-        [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ];
-      (* non-empty buckets as [upper_edge, count] pairs; the overflow
-         bucket's infinite edge is reported as the observed max *)
-      Buffer.add_string b ",\"buckets\":[";
-      let first = ref true in
-      Array.iteri
-        (fun i c ->
-          if c > 0 then begin
-            if !first then first := false else Buffer.add_char b ',';
-            let u = Buckets.upper i in
-            let u = if Float.is_finite u then u else s.max_v in
-            Buffer.add_string b (Printf.sprintf "[%s,%d]" (float_json u) c)
-          end)
-        s.buckets;
-      Buffer.add_string b "]}";
-      Buffer.contents b);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.Object
+    [
+      ("schema", Json.int metrics_schema_version);
+      ("counters", section (function Count c -> Some (Json.int c) | _ -> None));
+      ("gauges", section (function Value v -> Some (Json.Number v) | _ -> None));
+      ("histograms", section (function Stats s -> Some (histogram_json s) | _ -> None));
+    ]
 
 (* Histograms render OpenMetrics-style: cumulative [_bucket{le=...}]
    lines over the non-empty log buckets plus the mandatory [+Inf]
@@ -436,25 +391,29 @@ let metrics_text () =
               cum := !cum + c;
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name
-                   (float_json (Buckets.upper i))
+                   (Json.float_string (Buckets.upper i))
                    !cum)
             end)
           s.buckets;
         Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name s.count);
         Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name s.count);
-        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (float_json s.sum));
+        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (Json.float_string s.sum));
         List.iter
           (fun (label, q) ->
             Buffer.add_string buf
               (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name label
-                 (float_json (histogram_quantile s q))))
+                 (Json.float_string (histogram_quantile s q))))
           [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ])
     (metrics ());
   Buffer.contents buf
 
-let write_string path s =
+let write_line path s =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc s;
+      output_char oc '\n')
 
-let write_trace path = write_string path (trace_json ())
-let write_metrics path = write_string path (metrics_json ())
+let write_trace path = write_line path (trace_json ())
+let write_metrics path = write_line path (Json.to_string (metrics_json ()))

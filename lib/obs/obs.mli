@@ -163,13 +163,14 @@ val events : unit -> event list
 val trace_json : unit -> string
 (** Chrome trace-event JSON: one [thread_name] metadata event per domain
     seen, then every span as a complete ["X"] event with per-domain
-    monotone timestamps.  Loadable in Perfetto. *)
+    monotone timestamps.  Loadable in Perfetto.  Printed by {!Json},
+    one event at a time, with bit-exact [ts]/[dur]. *)
 
 val metrics_schema_version : int
 (** Version of the {!metrics_json} top-level schema; bumped on any
     incompatible change to the document shape. *)
 
-val metrics_json : unit -> string
+val metrics_json : unit -> Json.t
 (** [{"schema": 1, "counters": {...}, "gauges": {...}, "histograms":
     {...}}].  Each histogram carries [count/sum/min/max/mean],
     [p50/p90/p99] quantile estimates and its non-empty log buckets as
@@ -182,12 +183,8 @@ val metrics_text : unit -> string
     OpenMetrics-style cumulative [_bucket{le="..."}] lines plus
     [_count], [_sum] and [{quantile="..."}] lines. *)
 
-val float_json : float -> string
-(** Compact, round-trippable float rendering shared by the JSON
-    exporters. *)
-
 val write_trace : string -> unit
-(** Writes {!trace_json} to the given path. *)
+(** Writes {!trace_json} and a newline to the given path. *)
 
 val write_metrics : string -> unit
-(** Writes {!metrics_json} to the given path. *)
+(** Writes {!metrics_json}, compact, and a newline to the given path. *)

@@ -10,8 +10,10 @@
    keeps "pool.task under statlib.build" separate from "pool.task under
    sweep.run" in the tree while the flat table merges them by label. *)
 
-(* Timestamps survive a %.3f-µs export round trip, so endpoints can be
-   off by half an ulp of that grid (same tolerance as Trace_check). *)
+(* A span end is ts + dur in float microseconds, so a child's end can
+   pass its parent's by rounding; traces written before floats were
+   exported bit-exact also sit on a %.3f-µs grid.  Same tolerance as
+   Trace_check. *)
 let eps = 0.002
 
 type gc = Obs.gc_delta = {
@@ -405,45 +407,48 @@ let to_text t =
   end;
   Buffer.contents buf
 
-let esc = Obs.float_json
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"spans\": %d,\n  \"wall_us\": %s,\n  \"rows\": [\n" t.span_count
-       (esc t.wall_us));
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"label\": %S, \"count\": %d, \"total_us\": %s, \"self_us\": %s, \
-            \"p50_us\": %s, \"p90_us\": %s, \"p99_us\": %s, \"gc_minor_words\": %s, \
-            \"gc_major_words\": %s, \"gc_minor_collections\": %d, \
-            \"gc_major_collections\": %d}%s\n"
-           r.r_label r.r_count (esc r.r_total_us) (esc r.r_self_us) (esc (q_of_row r 0.5))
-           (esc (q_of_row r 0.9))
-           (esc (q_of_row r 0.99))
-           (esc r.r_gc.minor_words) (esc r.r_gc.major_words) r.r_gc.minor_collections
-           r.r_gc.major_collections
-           (if i = List.length t.rows - 1 then "" else ",")))
-    t.rows;
-  Buffer.add_string buf "  ],\n  \"tree\": [";
-  let rec tree n =
-    Printf.sprintf
-      "{\"label\": %S, \"count\": %d, \"total_us\": %s, \"self_us\": %s, \"children\": [%s]}"
-      n.label n.count (esc n.total_us) (esc n.self_us)
-      (String.concat ", " (List.map tree n.children))
+  let row r =
+    Json.Object
+      [
+        ("label", Json.String r.r_label);
+        ("count", Json.int r.r_count);
+        ("total_us", Json.Number r.r_total_us);
+        ("self_us", Json.Number r.r_self_us);
+        ("p50_us", Json.Number (q_of_row r 0.5));
+        ("p90_us", Json.Number (q_of_row r 0.9));
+        ("p99_us", Json.Number (q_of_row r 0.99));
+        ("gc_minor_words", Json.Number r.r_gc.minor_words);
+        ("gc_major_words", Json.Number r.r_gc.major_words);
+        ("gc_minor_collections", Json.int r.r_gc.minor_collections);
+        ("gc_major_collections", Json.int r.r_gc.major_collections);
+      ]
   in
-  Buffer.add_string buf (String.concat ", " (List.map tree t.roots));
-  Buffer.add_string buf "],\n  \"domains\": [\n";
-  List.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"domain\": %d, \"spans\": %d, \"tasks\": %d, \"busy_us\": %s, \"util\": \
-            %s}%s\n"
-           d.dom d.spans d.tasks (esc d.busy_us) (esc d.util)
-           (if i = List.length t.domains - 1 then "" else ",")))
-    t.domains;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let rec tree n =
+    Json.Object
+      [
+        ("label", Json.String n.label);
+        ("count", Json.int n.count);
+        ("total_us", Json.Number n.total_us);
+        ("self_us", Json.Number n.self_us);
+        ("children", Json.Array (List.map tree n.children));
+      ]
+  in
+  let domain d =
+    Json.Object
+      [
+        ("domain", Json.int d.dom);
+        ("spans", Json.int d.spans);
+        ("tasks", Json.int d.tasks);
+        ("busy_us", Json.Number d.busy_us);
+        ("util", Json.Number d.util);
+      ]
+  in
+  Json.Object
+    [
+      ("spans", Json.int t.span_count);
+      ("wall_us", Json.Number t.wall_us);
+      ("rows", Json.Array (List.map row t.rows));
+      ("tree", Json.Array (List.map tree t.roots));
+      ("domains", Json.Array (List.map domain t.domains));
+    ]

@@ -72,5 +72,6 @@ val to_text : t -> string
     and minor words per call), indented span tree, domain utilization
     and GC attribution tables. *)
 
-val to_json : t -> string
-(** Machine-readable profile artifact. *)
+val to_json : t -> Json.t
+(** Machine-readable profile artifact: [spans], [wall_us], the flat
+    [rows], the span [tree] and the [domains] utilization table. *)

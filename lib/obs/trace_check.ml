@@ -1,7 +1,8 @@
 type stats = { total : int; spans : int; domains : int; names : string list }
 
-(* Timestamps are exported with %.3f (nanosecond) precision, so parent
-   and child endpoints can each be off by half an ulp of that grid. *)
+(* A span end is ts + dur in float microseconds, so a child's end can
+   pass its parent's by rounding; traces written before floats were
+   exported bit-exact also sit on a %.3f-µs (nanosecond) grid. *)
 let eps = 0.002
 
 type span = { sname : string; tid : int; ts : float; dur : float }

@@ -329,30 +329,46 @@ let run_overload config =
   }
 
 let class_stats_json c =
-  Printf.sprintf
-    "{\"sent\":%d,\"ok\":%d,\"shed\":%d,\"deadline_dropped\":%d,\"failed\":%d,\"retries\":%d,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s,\"max_ms\":%s}"
-    c.c_sent c.c_ok c.c_shed c.c_deadline_dropped c.c_failed c.c_retries
-    (Json.float_string c.c_p50_ms)
-    (Json.float_string c.c_p90_ms)
-    (Json.float_string c.c_p99_ms)
-    (Json.float_string c.c_max_ms)
+  Json.Object
+    [
+      ("sent", Json.int c.c_sent);
+      ("ok", Json.int c.c_ok);
+      ("shed", Json.int c.c_shed);
+      ("deadline_dropped", Json.int c.c_deadline_dropped);
+      ("failed", Json.int c.c_failed);
+      ("retries", Json.int c.c_retries);
+      ("p50_ms", Json.Number c.c_p50_ms);
+      ("p90_ms", Json.Number c.c_p90_ms);
+      ("p99_ms", Json.Number c.c_p99_ms);
+      ("max_ms", Json.Number c.c_max_ms);
+    ]
 
 let overload_result_to_json r =
-  Printf.sprintf
-    "{\"interactive\":%s,\"batch\":%s,\"elapsed_s\":%s,\"replies\":%d,\"code70\":%d,\"sheds\":%d}"
-    (class_stats_json r.interactive)
-    (class_stats_json r.batch)
-    (Json.float_string r.o_elapsed_s)
-    r.replies r.code70
-    (r.interactive.c_shed + r.batch.c_shed)
+  Json.to_string
+    (Json.Object
+       [
+         ("interactive", class_stats_json r.interactive);
+         ("batch", class_stats_json r.batch);
+         ("elapsed_s", Json.Number r.o_elapsed_s);
+         ("replies", Json.int r.replies);
+         ("code70", Json.int r.code70);
+         ("sheds", Json.int (r.interactive.c_shed + r.batch.c_shed));
+       ])
 
 let result_to_json r =
-  Printf.sprintf
-    "{\"requests\":%d,\"ok\":%d,\"failed\":%d,\"dedup_hits\":%d,\"dedup_hit_rate\":%s,\"elapsed_s\":%s,\"throughput_rps\":%s,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s,\"min_ms\":%s,\"max_ms\":%s}"
-    r.sent r.ok r.failed r.dedup_hits
-    (Json.float_string (dedup_hit_rate r))
-    (Json.float_string r.elapsed_s)
-    (Json.float_string r.throughput_rps)
-    (Json.float_string r.p50_ms) (Json.float_string r.p90_ms)
-    (Json.float_string r.p99_ms) (Json.float_string r.min_ms)
-    (Json.float_string r.max_ms)
+  Json.to_string
+    (Json.Object
+       [
+         ("requests", Json.int r.sent);
+         ("ok", Json.int r.ok);
+         ("failed", Json.int r.failed);
+         ("dedup_hits", Json.int r.dedup_hits);
+         ("dedup_hit_rate", Json.Number (dedup_hit_rate r));
+         ("elapsed_s", Json.Number r.elapsed_s);
+         ("throughput_rps", Json.Number r.throughput_rps);
+         ("p50_ms", Json.Number r.p50_ms);
+         ("p90_ms", Json.Number r.p90_ms);
+         ("p99_ms", Json.Number r.p99_ms);
+         ("min_ms", Json.Number r.min_ms);
+         ("max_ms", Json.Number r.max_ms);
+       ])

@@ -117,10 +117,6 @@ let bind_socket ~backlog path =
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The exporters pretty-print; the wire speaks one line per reply. *)
-let compact_json s =
-  match Json.parse s with Ok j -> Json.to_string j | Error _ -> String.trim s
-
 let stats_of h =
   {
     requests = Atomic.get h.n_requests;
@@ -135,11 +131,18 @@ let stats_of h =
 
 let health_json h =
   let s = stats_of h in
-  Printf.sprintf
-    "{\"status\":%S,\"requests\":%d,\"dedup_hits\":%d,\"errors\":%d,\"active\":%d,\"queued\":%d,\"sheds\":%d,\"deadline_drops\":%d,\"slow_client_drops\":%d}"
-    (if Atomic.get h.stopping then "draining" else "ok")
-    s.requests s.dedup_hits s.errors s.active s.queued s.sheds s.deadline_drops
-    s.slow_client_drops
+  Json.Object
+    [
+      ("status", Json.String (if Atomic.get h.stopping then "draining" else "ok"));
+      ("requests", Json.int s.requests);
+      ("dedup_hits", Json.int s.dedup_hits);
+      ("errors", Json.int s.errors);
+      ("active", Json.int s.active);
+      ("queued", Json.int s.queued);
+      ("sheds", Json.int s.sheds);
+      ("deadline_drops", Json.int s.deadline_drops);
+      ("slow_client_drops", Json.int s.slow_client_drops);
+    ]
 
 (* Evaluates one admitted request through the same single-flight cell
    as before; only the leader occupies a queue slot, concurrent
@@ -183,9 +186,9 @@ let handle_line h line =
   match line with
   (* GETs are answered inline on the connection thread, never queued,
      so health and metrics stay responsive under overload. *)
-  | "GET metrics" -> compact_json (Obs.metrics_json ())
-  | "GET profile" -> compact_json (Profile.to_json (Profile.of_events (Obs.events ())))
-  | "GET health" -> health_json h
+  | "GET metrics" -> Json.to_string (Obs.metrics_json ())
+  | "GET profile" -> Json.to_string (Profile.to_json (Profile.of_events (Obs.events ())))
+  | "GET health" -> Json.to_string (health_json h)
   | line -> (
     match Request.of_line line with
     | Error err ->

@@ -256,44 +256,6 @@ let finish_library chunk =
   in
   Library.make ~name:(chunk.first_name ^ "_stat") ~corner:chunk.first_corner ~cells
 
-(* ------------------------------------------------------------------ *)
-(* Streaming merge                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let of_stream ?pool ~n gen =
-  if n <= 0 then invalid_arg "Statistical.of_stream: n must be positive";
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  Obs.span "statlib.build"
-    ~attrs:(fun () -> [ ("samples", string_of_int n) ])
-    (fun () ->
-      let nchunks = (n + merge_chunk - 1) / merge_chunk in
-      (* map_chunked batches block dispatch only: the [merge_chunk]
-         partition and the fold below are what fix the result *)
-      let chunks =
-        Pool.map_chunked pool
-          (fun c ->
-            let lo = c * merge_chunk in
-            accumulate_chunk gen ~lo ~hi:(min n (lo + merge_chunk)))
-          (List.init nchunks Fun.id)
-      in
-      (* Ordered left-to-right pairwise merge: partials cover fixed index
-         blocks, so this fold is scheduling-independent. *)
-      let merged =
-        Obs.span "statlib.merge"
-          ~attrs:(fun () -> [ ("chunks", string_of_int nchunks) ])
-          (fun () ->
-            match chunks with
-            | [] -> assert false
-            | head :: rest -> List.fold_left chunk_merge head rest)
-      in
-      finish_library merged)
-
-let of_libraries = function
-  | [] -> invalid_arg "Statistical.of_libraries: empty list"
-  | libs ->
-    let arr = Array.of_list libs in
-    of_stream ~n:(Array.length arr) (fun i -> arr.(i))
-
 module Store = Vartune_store.Store
 module Codec = Vartune_store.Codec
 module Characterize = Vartune_charlib.Characterize
@@ -444,47 +406,59 @@ let r_partial ~proto ~samples_done r =
 
 let c_resumed_samples = Obs.Counter.make "journal.resumed_samples"
 
-(* Round-based counterpart of [of_stream]: the same fixed block
-   partition and the same left-to-right merge order — so the result is
-   bit-identical to [of_stream] at any pool size and any checkpoint
-   cadence — but accumulated in rounds of [max every_blocks jobs]
-   blocks, with the running state saved to the run's state store and a
-   [Checkpoint] step journaled between rounds.  A pending stop request
-   is honoured right after a checkpoint lands, by raising
-   [Journal.Interrupted]. *)
-let of_stream_ckpt ~ckpt ~id ~pool ~n gen =
+(* The newest journaled checkpoint of statlib [id] whose stored
+   partial still decodes, with the number of blocks it covers; a
+   corrupt or missing partial falls back to an older checkpoint, and
+   none to a cold start. *)
+let restore ~ckpt ~id ~n ~nchunks gen =
+  let proto = lazy (gen 0) in
+  let rec try_checkpoint = function
+    | [] -> (None, 0)
+    | (blocks, samples_done) :: older ->
+      if blocks < 1 || blocks > nchunks || samples_done <> min n (blocks * merge_chunk) then
+        try_checkpoint older
+      else (
+        match
+          Store.load ckpt.Journal.state (checkpoint_key ~id ~blocks)
+            (r_partial ~proto:(Lazy.force proto) ~samples_done)
+        with
+        | Some chunk ->
+          Obs.Counter.add c_resumed_samples samples_done;
+          (Some chunk, blocks)
+        | None -> try_checkpoint older)
+  in
+  try_checkpoint (Journal.checkpoints_for ckpt ~statlib:id)
+
+(* The streaming merge: [gen 0 .. gen (n-1)] in fixed [merge_chunk]
+   sample blocks, each accumulated on a pool worker, the partials
+   merged strictly left to right.  Without [ckpt] every block is one
+   round.  With [ckpt = (ctx, id)] the merge starts from {!restore},
+   runs in rounds of [max every_blocks jobs] blocks, journals each
+   block, and between rounds saves the running partial to the run's
+   state store and journals a [Checkpoint]; a pending stop request is
+   honoured right after a checkpoint lands, by raising
+   [Journal.Interrupted].  Rounds only cut the same fold into pieces,
+   so the result is bit-identical at any pool size and any checkpoint
+   cadence. *)
+let merge_blocks ?ckpt ~pool ~n gen =
   if n <= 0 then invalid_arg "Statistical.of_stream: n must be positive";
   Obs.span "statlib.build"
     ~attrs:(fun () -> [ ("samples", string_of_int n) ])
     (fun () ->
       let nchunks = (n + merge_chunk - 1) / merge_chunk in
-      let proto = lazy (gen 0) in
-      let restore () =
-        let rec try_checkpoint = function
-          | [] -> (None, 0)
-          | (blocks, samples_done) :: older ->
-            if blocks < 1 || blocks > nchunks || samples_done <> min n (blocks * merge_chunk)
-            then try_checkpoint older
-            else (
-              match
-                Store.load ckpt.Journal.state
-                  (checkpoint_key ~id ~blocks)
-                  (r_partial ~proto:(Lazy.force proto) ~samples_done)
-              with
-              | Some chunk ->
-                Obs.Counter.add c_resumed_samples samples_done;
-                (Some chunk, blocks)
-              | None -> try_checkpoint older)
-        in
-        try_checkpoint (Journal.checkpoints_for ckpt ~statlib:id)
+      let acc, start, round =
+        match ckpt with
+        | None -> (None, 0, nchunks)
+        | Some (ctx, id) ->
+          let acc, start = restore ~ckpt:ctx ~id ~n ~nchunks gen in
+          (acc, start, max ctx.Journal.every_blocks (Pool.jobs pool))
       in
-      let restored, start = restore () in
-      let acc = ref restored in
-      let done_blocks = ref start in
-      let round = max ckpt.Journal.every_blocks (Pool.jobs pool) in
+      let acc = ref acc and done_blocks = ref start in
       while !done_blocks < nchunks do
         let upto = min nchunks (!done_blocks + round) in
         let idxs = List.init (upto - !done_blocks) (fun k -> !done_blocks + k) in
+        (* map_chunked batches block dispatch only: the [merge_chunk]
+           partition and the fold below are what fix the result *)
         let parts =
           Pool.map_chunked pool
             (fun c ->
@@ -492,39 +466,48 @@ let of_stream_ckpt ~ckpt ~id ~pool ~n gen =
               accumulate_chunk gen ~lo ~hi:(min n (lo + merge_chunk)))
             idxs
         in
-        (* Ordered left-to-right merge, exactly as [of_stream]. *)
         Obs.span "statlib.merge"
           ~attrs:(fun () -> [ ("chunks", string_of_int (List.length parts)) ])
           (fun () ->
-            match !acc with
-            | None -> (
-              match parts with
-              | [] -> assert false
-              | head :: rest -> acc := Some (List.fold_left chunk_merge head rest))
-            | Some a -> acc := Some (List.fold_left chunk_merge a parts));
-        List.iter
-          (fun c ->
-            let lo = c * merge_chunk in
-            Journal.record ckpt
-              (Journal.Block_done { statlib = id; lo; hi = min n (lo + merge_chunk) }))
-          idxs;
+            match (!acc, parts) with
+            | Some a, _ -> acc := Some (List.fold_left chunk_merge a parts)
+            | None, head :: rest -> acc := Some (List.fold_left chunk_merge head rest)
+            | None, [] -> assert false);
         done_blocks := upto;
-        if upto < nchunks then begin
-          let samples_done = min n (upto * merge_chunk) in
-          let chunk = Option.get !acc in
-          let key = checkpoint_key ~id ~blocks:upto in
-          Store.save ckpt.Journal.state key (w_partial ~samples_done chunk);
-          Journal.record ckpt
-            (Journal.Checkpoint
-               { statlib = id; blocks = upto; samples_done; key = Store.Key.id key });
-          if Journal.stop_requested ckpt then
-            raise
-              (Journal.Interrupted
-                 (Printf.sprintf "statistical library checkpointed at %d/%d samples"
-                    samples_done n))
-        end
+        Option.iter
+          (fun (ctx, id) ->
+            List.iter
+              (fun c ->
+                let lo = c * merge_chunk in
+                Journal.record ctx
+                  (Journal.Block_done { statlib = id; lo; hi = min n (lo + merge_chunk) }))
+              idxs;
+            if upto < nchunks then begin
+              let samples_done = min n (upto * merge_chunk) in
+              let key = checkpoint_key ~id ~blocks:upto in
+              Store.save ctx.Journal.state key (w_partial ~samples_done (Option.get !acc));
+              Journal.record ctx
+                (Journal.Checkpoint
+                   { statlib = id; blocks = upto; samples_done; key = Store.Key.id key });
+              if Journal.stop_requested ctx then
+                raise
+                  (Journal.Interrupted
+                     (Printf.sprintf "statistical library checkpointed at %d/%d samples"
+                        samples_done n))
+            end)
+          ckpt
       done;
       finish_library (Option.get !acc))
+
+let of_stream ?pool ~n gen =
+  let pool = match pool with Some p -> p | None -> Pool.default () in
+  merge_blocks ~pool ~n gen
+
+let of_libraries = function
+  | [] -> invalid_arg "Statistical.of_libraries: empty list"
+  | libs ->
+    let arr = Array.of_list libs in
+    of_stream ~n:(Array.length arr) (fun i -> arr.(i))
 
 let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -538,10 +521,7 @@ let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
     Store.fetch ~kind:Characterize.library_kind (Journal.tiers ?store ckpt) key
       (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
       (fun lib b -> Codec.w_library b lib)
-      (fun () ->
-        match ckpt with
-        | None -> of_stream ~pool ~n gen
-        | Some ckpt -> of_stream_ckpt ~ckpt ~id ~pool ~n gen)
+      (fun () -> merge_blocks ?ckpt:(Option.map (fun c -> (c, id)) ckpt) ~pool ~n gen)
   in
   Option.iter (fun c -> Journal.record c (Journal.Statlib_built { key = id })) ckpt;
   lib

@@ -2,8 +2,9 @@
    journaled interrupt/resume cycle: usage errors (64) for malformed
    fault specs and tuning environment variables, data errors (65) for
    unparsable inputs and damaged journals, I/O errors (74) for a full
-   stdout, and the checkpoint → exit 75 → resume → bit-identical-output
-   contract end to end through the real binary. *)
+   stdout, valid JSON from [report --json], and the checkpoint → exit
+   75 → resume → bit-identical-output contract end to end through the
+   real binary. *)
 
 module Library = Vartune_liberty.Library
 module Printer = Vartune_liberty.Printer
@@ -11,6 +12,7 @@ module Journal = Vartune_journal.Journal
 module Run = Vartune_flow.Run
 module Request = Vartune_flow.Request
 module Store = Vartune_store.Store
+module Json = Vartune_obs.Json
 
 (* The binary is a declared dune dep, built next to this test:
    _build/default/{test/test_cli.exe, bin/vartune.exe}.  Resolve it
@@ -171,6 +173,39 @@ let test_resume_undecodable_request () =
       ("not_journal_able", Request.to_line (Request.Parse { file = "x.lib" }));
     ]
 
+(* [report --json] escapes journal strings as JSON, not as OCaml
+   literals: an output path and a seal reason holding UTF-8 bytes and
+   control characters come back byte for byte. *)
+let test_report_json_escapes () =
+  let output = "out/caf\xc3\xa9\x01\t.lib" and reason = "done \xc3\xa9\x02\"\\" in
+  let steps =
+    [
+      Journal.Run_started
+        { request = Request.to_line (Request.Statlib { seed = 1; samples = 2 });
+          output = Some output };
+      Journal.Sealed { reason };
+    ]
+  in
+  let rd = run_dir_with "report_escapes" steps in
+  let out = in_temp "report_escapes.json" in
+  check_exit "report --json exits 0" 0
+    (vartune ~stdout_to:(Filename.quote out) [ "report"; "--run-dir"; rd; "--json" ]);
+  let json =
+    match Json.parse (read_file out) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report --json is not JSON: %s" e
+  in
+  let journal = Option.get (Json.member "journal" json) in
+  Alcotest.(check (list string))
+    "step strings round-trip byte for byte"
+    (List.map Journal.step_to_string steps)
+    (List.map
+       (fun s -> Option.get (Option.bind (Json.member "step" s) Json.to_string_opt))
+       (Option.get (Option.bind (Json.member "steps" journal) Json.to_list)));
+  Alcotest.(check (option string))
+    "sealed reason round-trips" (Some reason)
+    (Option.bind (Json.member "sealed" journal) Json.to_string_opt)
+
 (* ------------------------------------------------------------------ *)
 (* Interrupt / resume through the real binary                          *)
 (* ------------------------------------------------------------------ *)
@@ -272,7 +307,6 @@ let test_statlib_resume_with_store () =
 
 module Response = Vartune_flow.Response
 module Client = Vartune_serve.Client
-module Json = Vartune_obs.Json
 
 (* SIGTERM with the pipeline full: one request executing (stretched by
    the pinned delay fault), two queued behind the single worker.  The
@@ -374,6 +408,8 @@ let () =
           Alcotest.test_case "version-2 journal (65)" `Quick test_resume_old_version;
           Alcotest.test_case "undecodable request line (65)" `Quick
             test_resume_undecodable_request;
+          Alcotest.test_case "report --json escapes journal strings" `Quick
+            test_report_json_escapes;
         ] );
       ( "resume",
         [

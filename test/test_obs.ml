@@ -241,7 +241,7 @@ let test_metrics_json_well_formed () =
       Obs.observe "unit.histo" 1.0;
       Obs.observe "unit.histo" 3.0;
       let json =
-        match Json.parse (Obs.metrics_json ()) with
+        match Json.parse (Json.to_string (Obs.metrics_json ())) with
         | Ok j -> j
         | Error e -> Alcotest.failf "metrics JSON invalid: %s" e
       in
@@ -258,6 +258,53 @@ let test_metrics_json_well_formed () =
       Alcotest.(check (option (float 1e-9)))
         "histogram mean" (Some 2.0)
         (Option.bind mean Json.to_float))
+
+(* Both exporters print through Json: floats come back with the same
+   bits, and span names and attributes with the same bytes. *)
+let test_exports_bit_exact () =
+  with_obs (fun () ->
+      let odd = "q\"b\\c\x01t\tcaf\xc3\xa9" in
+      for i = 1 to 5 do
+        Obs.span odd ~attrs:(fun () -> [ (odd, odd) ]) (fun () ->
+            ignore (Sys.opaque_identity (List.init (i * 1000) Fun.id)))
+      done;
+      Obs.gauge "unit.gauge" (0.1 +. 0.2);
+      Obs.observe "unit.histo" (1.0 /. 3.0);
+      let parse s =
+        match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "invalid JSON: %s" e
+      in
+      let bits = Alcotest.(list int64) in
+      let field name j = Option.bind (Json.member name j) Json.to_float |> Option.get in
+      let spans =
+        Json.member "traceEvents" (parse (Obs.trace_json ()))
+        |> Fun.flip Option.bind Json.to_list
+        |> Option.get
+        |> List.filter (fun e -> Json.member "ph" e = Some (Json.String "X"))
+      in
+      let evs = Obs.events () in
+      Alcotest.(check bits) "ts bits"
+        (List.map (fun e -> Int64.bits_of_float e.Obs.ts_us) evs)
+        (List.map (fun e -> Int64.bits_of_float (field "ts" e)) spans);
+      Alcotest.(check bits) "dur bits"
+        (List.map (fun e -> Int64.bits_of_float e.Obs.dur_us) evs)
+        (List.map (fun e -> Int64.bits_of_float (field "dur" e)) spans);
+      List.iter
+        (fun e ->
+          Alcotest.(check (option string)) "name bytes" (Some odd)
+            (Option.bind (Json.member "name" e) Json.to_string_opt);
+          Alcotest.(check (option string)) "attr bytes" (Some odd)
+            (Option.bind (Option.bind (Json.member "args" e) (Json.member odd))
+               Json.to_string_opt))
+        spans;
+      let metrics = parse (Json.to_string (Obs.metrics_json ())) in
+      let section name = Option.get (Json.member name metrics) in
+      Alcotest.(check bits) "gauge bits"
+        [ Int64.bits_of_float (0.1 +. 0.2) ]
+        [ Int64.bits_of_float (field "unit.gauge" (section "gauges")) ];
+      let histo = Option.get (Json.member "unit.histo" (section "histograms")) in
+      Alcotest.(check bits) "histogram sum bits"
+        [ Int64.bits_of_float (1.0 /. 3.0) ]
+        [ Int64.bits_of_float (field "sum" histo) ])
 
 let test_trace_check_rejects_bad_traces () =
   let reject label s =
@@ -412,6 +459,7 @@ let () =
       ( "exporters",
         [
           Alcotest.test_case "metrics JSON well-formed" `Quick test_metrics_json_well_formed;
+          Alcotest.test_case "exports bit-exact" `Quick test_exports_bit_exact;
           Alcotest.test_case "trace checker rejects bad traces" `Quick
             test_trace_check_rejects_bad_traces;
           Alcotest.test_case "json parser basics" `Quick test_json_parser_basics;

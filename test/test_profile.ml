@@ -2,13 +2,11 @@
    span-tree aggregation (synthetic event lists and real pool runs at
    1/2/7 jobs, where child-exclusive self times must sum back to the
    root totals), GC/allocation attribution, the OpenMetrics-style
-   metrics_text rendering, bench-history diffing, and the report
-   assembly entry points. *)
+   metrics_text rendering, and the report assembly entry points. *)
 
 module Obs = Vartune_obs.Obs
 module Json = Vartune_obs.Json
 module Profile = Vartune_obs.Profile
-module Bench_diff = Vartune_obs.Bench_diff
 module Run_report = Vartune_flow.Run_report
 module Pool = Vartune_util.Pool
 
@@ -305,97 +303,6 @@ let test_metrics_text_openmetrics () =
            0 counts))
 
 (* ------------------------------------------------------------------ *)
-(* Bench diffing                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let parse s = match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "bad json: %s" e
-
-let base =
-  {|{"full": {"seconds": 1.0, "node_evals": 1000, "sta_runs": 10},
-     "speedup": 4.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}
-
-let test_bench_diff_identical () =
-  let j = parse base in
-  let findings = Bench_diff.diff ~old_json:j ~new_json:j () in
-  Alcotest.(check int) "no regressions" 0 (List.length (Bench_diff.regressions findings));
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (f.Bench_diff.path ^ " unchanged") true
-        (f.Bench_diff.status = Bench_diff.Unchanged))
-    findings
-
-let test_bench_diff_tolerances () =
-  let diff_against s =
-    Bench_diff.regressions (Bench_diff.diff ~old_json:(parse base) ~new_json:(parse s) ())
-  in
-  (* +40% wall clock sits inside the default 50% time tolerance *)
-  Alcotest.(check int) "time within tolerance" 0
-    (List.length
-       (diff_against
-          {|{"full": {"seconds": 1.4, "node_evals": 1000, "sta_runs": 10},
-             "speedup": 4.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}));
-  (* +60% wall clock does not *)
-  let time_reg =
-    diff_against
-      {|{"full": {"seconds": 1.6, "node_evals": 1000, "sta_runs": 10},
-         "speedup": 4.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}
-  in
-  Alcotest.(check (list string))
-    "time regression caught" [ "full.seconds" ]
-    (List.map (fun f -> f.Bench_diff.path) time_reg);
-  (* counts are deterministic: +5% is already a regression *)
-  Alcotest.(check (list string))
-    "count regression caught" [ "full.node_evals" ]
-    (List.map
-       (fun f -> f.Bench_diff.path)
-       (diff_against
-          {|{"full": {"seconds": 1.0, "node_evals": 1050, "sta_runs": 10},
-             "speedup": 4.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}));
-  (* speedup is higher-is-better: a drop fails, a gain does not *)
-  Alcotest.(check int) "speedup gain is fine" 0
-    (List.length
-       (diff_against
-          {|{"full": {"seconds": 1.0, "node_evals": 1000, "sta_runs": 10},
-             "speedup": 5.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}));
-  let speed_reg =
-    diff_against
-      {|{"full": {"seconds": 1.0, "node_evals": 1000, "sta_runs": 10},
-         "speedup": 3.0, "eval_ratio": 0.2, "ocaml_version": "5.1.0"}|}
-  in
-  Alcotest.(check (list string))
-    "speedup drop caught" [ "speedup" ]
-    (List.map (fun f -> f.Bench_diff.path) speed_reg)
-
-let test_bench_diff_missing_and_info () =
-  (* a gated metric vanishing is a regression; an Info change is not *)
-  let findings =
-    Bench_diff.diff ~old_json:(parse base)
-      ~new_json:
-        (parse
-           {|{"full": {"seconds": 1.0, "sta_runs": 10},
-              "speedup": 4.0, "eval_ratio": 0.2, "ocaml_version": "5.2.0"}|})
-      ()
-  in
-  Alcotest.(check (list string))
-    "missing gated metric gates" [ "full.node_evals" ]
-    (List.map (fun f -> f.Bench_diff.path) (Bench_diff.regressions findings));
-  Alcotest.(check bool) "info change reported but not gating" true
-    (List.exists
-       (fun f ->
-         f.Bench_diff.path = "ocaml_version" && f.Bench_diff.status = Bench_diff.Changed)
-       findings)
-
-let test_bench_diff_custom_tolerance () =
-  let tol = { Bench_diff.default_tolerances with Bench_diff.time = 0.05 } in
-  let findings =
-    Bench_diff.diff ~tol ~old_json:(parse {|{"warm_s": 1.0}|})
-      ~new_json:(parse {|{"warm_s": 1.1}|}) ()
-  in
-  Alcotest.(check int) "tightened tolerance trips" 1
-    (List.length (Bench_diff.regressions findings))
-
-(* ------------------------------------------------------------------ *)
 (* Report assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -452,7 +359,7 @@ let contains ~needle hay =
    the current one (and legacy files without any), and rejects files
    from a future writer instead of misreading them. *)
 let test_report_schema_version () =
-  let live = write_temp "vt_test_metrics_live.json" (Obs.metrics_json ()) in
+  let live = write_temp "vt_test_metrics_live.json" (Json.to_string (Obs.metrics_json ())) in
   let current =
     write_temp "vt_test_metrics_cur.json"
       (Printf.sprintf {|{"schema": %d, "counters": {"x": 1}}|} Obs.metrics_schema_version)
@@ -469,7 +376,7 @@ let test_report_schema_version () =
       Alcotest.(check bool)
         "exporter emits the version" true
         (contains ~needle:(Printf.sprintf "\"schema\":%d" Obs.metrics_schema_version)
-           (Obs.metrics_json ()));
+           (Json.to_string (Obs.metrics_json ())));
       List.iter
         (fun (name, path) ->
           match Run_report.classify_file path with
@@ -513,13 +420,6 @@ let () =
         [
           Alcotest.test_case "metrics_text is OpenMetrics-shaped" `Quick
             test_metrics_text_openmetrics;
-        ] );
-      ( "bench-diff",
-        [
-          Alcotest.test_case "identical files" `Quick test_bench_diff_identical;
-          Alcotest.test_case "per-class tolerances" `Quick test_bench_diff_tolerances;
-          Alcotest.test_case "missing and info metrics" `Quick test_bench_diff_missing_and_info;
-          Alcotest.test_case "custom tolerance" `Quick test_bench_diff_custom_tolerance;
         ] );
       ( "report",
         [
