@@ -26,8 +26,3 @@ let of_criterion ?(defaults = paper_defaults) criterion ~cluster_lut =
     extract_slope_threshold cluster_lut ~load_bound:bound ~slew_bound:defaults.slew_bound
   | Slew_slope bound ->
     extract_slope_threshold cluster_lut ~load_bound:defaults.load_bound ~slew_bound:bound
-
-let criterion_to_string = function
-  | Load_slope b -> Printf.sprintf "load_slope<%g" b
-  | Slew_slope b -> Printf.sprintf "slew_slope<%g" b
-  | Sigma_ceiling c -> Printf.sprintf "sigma<=%g" c

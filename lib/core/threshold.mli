@@ -33,5 +33,3 @@ val extract_slope_threshold :
 val of_criterion :
   ?defaults:defaults -> criterion -> cluster_lut:Vartune_liberty.Lut.t -> float option
 (** The sigma threshold a criterion assigns to a cluster. *)
-
-val criterion_to_string : criterion -> string

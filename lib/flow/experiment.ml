@@ -31,13 +31,10 @@ type run = {
   design_sigma : Design_sigma.t;
 }
 
-type memo = {
-  table : (string, run) Hashtbl.t;
-      (** keyed by the recipe id of {!run_key}; guarded by [lock] so
-          sweep points may run on pool workers *)
-  lock : Mutex.t;
-  tiers : Store.t list;  (** {!Journal.tiers}: shared store, then run state *)
-  ckpt : Journal.ctx option;  (** a journaled run records every landed artifact *)
+type cache = {
+  scope : Store.scope;  (** every run the setup fetched *)
+  store : Store.t option;
+  ckpt : Journal.ctx option;  (** a journaled run records every fetched run *)
   statlib_id : string;
       (** full recipe id of the statistical-library store key; chained
           into every run key so a different library invalidates runs *)
@@ -53,7 +50,7 @@ type setup = {
   statlib : Library.t;
   min_period : float;
   periods : (string * float) list;
-  memo : memo;
+  cache : cache;
 }
 
 let paper_period_labels min_period =
@@ -67,8 +64,7 @@ let paper_period_labels min_period =
     ("low", Float.round (10.0 *. scale *. 100.0) /. 100.0);
   ]
 
-let make_memo ?(tiers = []) ?ckpt ~statlib_id () =
-  { table = Hashtbl.create 64; lock = Mutex.create (); tiers; ckpt; statlib_id }
+let new_cache ?store ?ckpt ~statlib_id () = { scope = Store.scope (); store; ckpt; statlib_id }
 
 let min_period_kind : float Store.kind = Store.kind ()
 
@@ -93,18 +89,13 @@ let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
   Log.info (fun m -> m "design %s: %d IR nodes" (Ir.name design) (Ir.node_count design));
   let design_fp = Ir.fingerprint design in
   Option.iter Journal.check_stop ckpt;
-  let tiers = Journal.tiers ?store ckpt in
   let min_period_key = min_period_key ~statlib_id ~design_fp in
   let min_period, _ =
-    Store.fetch ~kind:min_period_kind tiers min_period_key Codec.r_float
+    Journal.fetch ~kind:min_period_kind ?store ckpt min_period_key Codec.r_float
       (fun p b -> Codec.w_float b p)
+      ~step:(fun period -> Journal.Min_period { key = Store.Key.id min_period_key; period })
       (fun () -> Synthesis.min_period statlib design)
   in
-  Option.iter
-    (fun c ->
-      Journal.record c
-        (Journal.Min_period { key = Store.Key.id min_period_key; period = min_period }))
-    ckpt;
   Log.info (fun m -> m "minimum period: %.2f ns" min_period);
   {
     char_config;
@@ -116,15 +107,14 @@ let prepare_request ?(mcu_config = Mcu.default_config) ?store ?ckpt ?specs req =
     statlib;
     min_period;
     periods = paper_period_labels min_period;
-    memo = make_memo ~tiers ?ckpt ~statlib_id ();
+    cache = new_cache ?store ?ckpt ~statlib_id ();
   }
 
 let recipe_ids setup =
-  let statlib_id = setup.memo.statlib_id in
+  let statlib_id = setup.cache.statlib_id in
   [ statlib_id; Store.Key.id (min_period_key ~statlib_id ~design_fp:setup.design_fp) ]
 
-let fresh_memo setup =
-  { setup with memo = make_memo ~statlib_id:setup.memo.statlib_id () }
+let fresh_cache setup = { setup with cache = new_cache ~statlib_id:setup.cache.statlib_id () }
 
 (* The persistent key of one synthesis run.  The restrictions table is
    not an ingredient of its own: it is a deterministic function of
@@ -135,7 +125,7 @@ let run_key setup ~period ~label ~(cons : Constraints.t) =
   Store.Key.(
     v "synth_run"
     |> fun k ->
-    str k "statlib" setup.memo.statlib_id |> fun k ->
+    str k "statlib" setup.cache.statlib_id |> fun k ->
     int k "design" setup.design_fp |> fun k ->
     float k "period" period |> fun k ->
     str k "label" label |> fun k ->
@@ -166,47 +156,35 @@ let decode_run ~(cons : Constraints.t) r =
   { label; period; result; paths; design_sigma }
 
 (* Synthesis runs are deterministic in their recipe (setup identity,
-   period, label, constraints); the experiments re-visit baselines
-   constantly, so memoise.  Lookups go memo table → store tiers →
-   compute, all keyed by the recipe id of [run_key]; every cache level
-   returns runs bit-identical to a fresh synthesis.  The memo table
-   lives in the setup, so two setups never share entries.  The mutex
-   makes the table safe under Pool.map; a miss is resolved outside the
-   lock (concurrent first requests may duplicate the work, but the
-   result is deterministic so either insert is correct). *)
-let run_with setup ~period ~label ~restrictions =
-  let memo = setup.memo in
-  let cons = Constraints.make ~clock_period:period ?restrictions () in
+   period, label, constraints), and the experiments re-visit baselines
+   constantly: every run is fetched through the setup's scope, then the
+   store tiers, and computed only when neither holds it.  The
+   restriction table is built only then; neither the key nor the
+   decoder reads it. *)
+let run_with ?restrictions setup ~period ~label =
+  let c = setup.cache in
+  let cons = Constraints.make ~clock_period:period () in
   let key = run_key setup ~period ~label ~cons in
-  let id = Store.Key.id key in
-  match Mutex.protect memo.lock (fun () -> Hashtbl.find_opt memo.table id) with
-  | Some r ->
-    Obs.Counter.incr c_cache_hits;
-    r
-  | None ->
-    let r, hit =
-      Store.fetch ~kind:run_kind memo.tiers key (decode_run ~cons) encode_run (fun () ->
-          let result = Synthesis.run cons setup.statlib setup.design in
-          let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
-          { label; period; result; paths; design_sigma = Design_sigma.of_paths paths })
-    in
-    Obs.Counter.incr (if hit then c_cache_hits else c_cache_misses);
-    Option.iter
-      (fun c -> Journal.record c (Journal.Synthesis_done { key = id; label; period }))
-      memo.ckpt;
-    Mutex.protect memo.lock (fun () ->
-        match Hashtbl.find_opt memo.table id with
-        | Some earlier -> earlier
-        | None ->
-          Hashtbl.replace memo.table id r;
-          r)
+  let r, hit =
+    Journal.fetch ~kind:run_kind ~scope:c.scope ?store:c.store c.ckpt key (decode_run ~cons)
+      encode_run
+      ~step:(fun _ -> Journal.Synthesis_done { key = Store.Key.id key; label; period })
+      (fun () ->
+        let cons = { cons with restrictions = Option.map (fun f -> f ()) restrictions } in
+        let result = Synthesis.run cons setup.statlib setup.design in
+        let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
+        { label; period; result; paths; design_sigma = Design_sigma.of_paths paths })
+  in
+  Obs.Counter.incr (if hit then c_cache_hits else c_cache_misses);
+  r
 
-let baseline setup ~period = run_with setup ~period ~label:"baseline" ~restrictions:None
+let baseline setup ~period = run_with setup ~period ~label:"baseline"
 
 let tuned setup ~period ~tuning =
-  let label = Tuning_method.to_string tuning in
-  let restrictions = Tuning_method.restrictions tuning setup.statlib in
-  run_with setup ~period ~label ~restrictions:(Some restrictions)
+  let restrictions () =
+    Obs.span "tuning.restrictions" (fun () -> Tuning_method.restrictions tuning setup.statlib)
+  in
+  run_with ~restrictions setup ~period ~label:(Tuning_method.to_string tuning)
 
 let sigma_reduction ~baseline ~tuned =
   let b = baseline.design_sigma.Design_sigma.dist.Vartune_stats.Dist.sigma in
@@ -220,8 +198,9 @@ let area_increase ~baseline ~tuned =
 
 type sweep_point = { parameter : float; run : run; reduction : float; area_delta : float }
 
-let sweep ?pool setup ~period ~tuning ~parameters =
+let sweep ?pool setup ~baseline:base ~tuning ~parameters =
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  let period = base.period in
   Obs.span "sweep.run"
     ~attrs:(fun () ->
       [
@@ -229,7 +208,6 @@ let sweep ?pool setup ~period ~tuning ~parameters =
         ("points", string_of_int (List.length parameters));
       ])
   @@ fun () ->
-  let base = baseline setup ~period in
   Pool.map_chunked pool
     (fun parameter ->
       Obs.span "sweep.point" ~attrs:(fun () -> [ ("parameter", string_of_float parameter) ])

@@ -6,15 +6,18 @@
     measured minimum period the way the paper's Table 1 derives its
     constraints from 2.41 ns.
 
-    Synthesis runs are memoised behind the opaque {!memo} handle: an
-    in-process table keyed by the run's store recipe id
-    ({!Vartune_store.Store.Key.id}) absorbs repeat requests within a
-    setup, and — when {!prepare_request} was given a store or a journaled
-    run — the same recipe fetches the run from the artifact store tiers
-    ({!Vartune_store.Store.fetch} over {!Vartune_journal.Journal.tiers}),
-    so warm processes get the same runs bit-identically.  No cache level
-    is observable in results: cold, warm and store-less executions
-    produce byte-identical reports at any pool size. *)
+    Every synthesis run is fetched with {!Vartune_journal.Journal.fetch}
+    under its store recipe id ({!Vartune_store.Store.Key.id}): first
+    from the setup's {!Vartune_store.Store.scope}, then — when
+    {!prepare_request} was given a store or a journaled run — from the
+    artifact store tiers, so warm processes get the same runs
+    bit-identically, and a journaled run records each fetched run.  No
+    cache level is observable in results: cold, warm and store-less
+    executions produce byte-identical reports at any pool size.
+
+    {b Lifetime.}  A setup holds every run it fetched until the setup
+    is dropped, and nothing else bounds that memory: every figure of
+    [vartune figures all -n 8] from one setup peaks at ~1.8 GB. *)
 
 type run = {
   label : string;
@@ -24,10 +27,9 @@ type run = {
   design_sigma : Vartune_stats.Design_sigma.t;
 }
 
-type memo
-(** Opaque synthesis-run memo: a per-setup in-memory table keyed by the
-    recipe id of each run's store key, plus the store tiers behind it.
-    Safe to share across pool workers. *)
+type cache
+(** Where a setup's runs come from: its scope, plus the store tiers and
+    journal behind it.  Safe to share across pool workers. *)
 
 type setup = {
   char_config : Vartune_charlib.Characterize.config;
@@ -40,7 +42,7 @@ type setup = {
   min_period : float;
   periods : (string * float) list;
   (** labelled ladder: high / close-to-max / medium / low performance *)
-  memo : memo;
+  cache : cache;
 }
 
 val prepare_request :
@@ -72,17 +74,19 @@ val recipe_ids : setup -> string list
     — carried into {!Response.t.recipes} so a client can audit what a
     served result was keyed by. *)
 
-val fresh_memo : setup -> setup
-(** The same setup with an empty, store-detached memo — runs recompute
-    from scratch, for timing comparisons that must not hit earlier
-    runs' entries (in memory or on disk). *)
+val fresh_cache : setup -> setup
+(** The same setup with an empty scope and no store tiers or journal —
+    runs recompute from scratch, for timing comparisons that must not
+    hit earlier runs' entries (in memory or on disk). *)
 
 val baseline : setup -> period:float -> run
-(** Synthesis with the untuned statistical library.  Results are memoised
-    per period within a setup. *)
+(** Synthesis with the untuned statistical library.  A second fetch of
+    the same period returns the same value, held by the setup. *)
 
 val tuned : setup -> period:float -> tuning:Vartune_tuning.Tuning_method.t -> run
-(** Synthesis with the given method's restrictions installed. *)
+(** Synthesis with the given method's restrictions installed.  The
+    restriction table is extracted (in a [tuning.restrictions] span)
+    only when the run is computed, never on a hit. *)
 
 val sigma_reduction : baseline:run -> tuned:run -> float
 (** Relative design-sigma decrease, e.g. [0.37] for -37 %. *)
@@ -93,19 +97,21 @@ val area_increase : baseline:run -> tuned:run -> float
 type sweep_point = {
   parameter : float;
   run : run;
-  reduction : float;  (** vs the baseline at the same period *)
+  reduction : float;  (** vs the sweep's baseline *)
   area_delta : float;
 }
 
 val sweep :
   ?pool:Vartune_util.Pool.t ->
   setup ->
-  period:float ->
+  baseline:run ->
   tuning:Vartune_tuning.Tuning_method.t ->
   parameters:float list ->
   sweep_point list
-(** One tuning method across its constraint-parameter sweep (Table 2).
-    The points are synthesised in parallel on the pool (default
+(** One tuning method across its constraint-parameter sweep (Table 2),
+    at the period of [baseline], which every point is scored against
+    (pass the {!baseline} run of that period).  The points are
+    synthesised in parallel on the pool (default
     {!Vartune_util.Pool.default}) and returned in parameter order; the
     result is independent of the pool size. *)
 

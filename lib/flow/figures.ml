@@ -291,7 +291,8 @@ let ceiling_method c =
    downstream figures (9, 12-14) study that winning configuration *)
 let best_ceiling setup ~period =
   let points =
-    Experiment.sweep setup ~period ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
+    Experiment.sweep setup ~baseline:(Experiment.baseline setup ~period)
+      ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
   in
   match Experiment.best_under_area_cap points with
   | Some best -> best.Experiment.parameter
@@ -371,7 +372,7 @@ let fig10_method_sweep (setup : Experiment.setup) =
       let entries =
         List.map
           (fun (tuning, parameters) ->
-            let points = Experiment.sweep setup ~period ~tuning ~parameters in
+            let points = Experiment.sweep setup ~baseline:base ~tuning ~parameters in
             List.iter
               (fun (p : Experiment.sweep_point) ->
                 all_rows :=
@@ -450,7 +451,8 @@ let fig11_tradeoff (setup : Experiment.setup) =
   Report.heading "Fig 11 — sigma decrease vs area increase, sigma-ceiling sweep (high clock)";
   let period = List.assoc "high" setup.Experiment.periods in
   let points =
-    Experiment.sweep setup ~period ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
+    Experiment.sweep setup ~baseline:(Experiment.baseline setup ~period)
+      ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
   in
   let rows =
     List.map

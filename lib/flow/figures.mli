@@ -3,9 +3,9 @@
     Each function prints a self-contained plain-text reproduction of the
     corresponding exhibit, annotated with the paper's reported values
     where the paper gives any.  Generators share synthesis results
-    through {!Experiment}'s memoisation, so calling them in sequence
-    (as {!run_all} and [vartune figures] do) costs each synthesis only
-    once. *)
+    through the setup that holds every run it fetched (see
+    {!Experiment}), so calling them in sequence (as {!run_all} and
+    [vartune figures] do) costs each synthesis only once. *)
 
 val paper_bounds : float list
 (** Table 2 slope-bound sweep: 1, 0.05, 0.03, 0.01. *)

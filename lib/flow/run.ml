@@ -152,7 +152,7 @@ let eval ?store ?ckpt ?(emit = ignore) req =
     let base_run = Experiment.baseline setup ~period in
     line (run_line "baseline" base_run);
     check_stop ();
-    let points = Experiment.sweep setup ~period ~tuning ~parameters in
+    let points = Experiment.sweep setup ~baseline:base_run ~tuning ~parameters in
     line (Printf.sprintf "sweep (%s):" (Tuning_method.to_string tuning));
     List.iter
       (fun (p : Experiment.sweep_point) ->

@@ -387,5 +387,8 @@ let checkpoints_for ctx ~statlib =
 (* Probe order of every cached artifact: the shared store first, then
    the run's private state store.  Artifacts land in both, so a resume
    finds them even when the shared store is disabled or wiped. *)
-let tiers ?store ctx =
-  Option.to_list store @ Option.to_list (Option.map (fun c -> c.state) ctx)
+let fetch ~kind ?scope ?store ctx key decode encode ~step compute =
+  let tiers = Option.to_list store @ Option.to_list (Option.map (fun c -> c.state) ctx) in
+  let v, hit = Store.fetch ~kind ?scope tiers key decode encode compute in
+  Option.iter (fun c -> record c (step v)) ctx;
+  (v, hit)

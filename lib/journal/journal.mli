@@ -122,9 +122,10 @@ val replay : string -> step list
 
     The [ctx] threads everything checkpoint-aware stages need — the
     journal, the run's state store, the cooperative stop flag — through
-    [Statistical.build] and [Experiment].  Stages call {!record} at
-    progress boundaries and {!stop_requested} at safe points; the run
-    supervisor's signal handlers call {!request_stop}. *)
+    [Statistical.build] and [Experiment].  Stages get every cached
+    artifact through {!fetch}, which journals it, call {!record} at
+    other progress boundaries and {!stop_requested} at safe points; the
+    run supervisor's signal handlers call {!request_stop}. *)
 
 type ctx = {
   journal : t;
@@ -174,11 +175,20 @@ val checkpoints_for : ctx -> statlib:string -> (int * int) list
     the given statistical-library recipe id, newest first — the order a
     resuming build should try (falling back on corrupt entries). *)
 
-val tiers : ?store:Vartune_store.Store.t -> ctx option -> Vartune_store.Store.t list
-(** The cache tiers of an artifact, in probe order for
-    {!Vartune_store.Store.fetch}: the shared [store] first, then the
-    journaled run's [state/] store.  Either may be absent; with neither,
-    the list is empty and every fetch computes.  Each tier is probed in
-    its handle's in-process tier of decoded values before its disk
-    entry, so a handle that lives across requests decodes each artifact
-    at most once; a computed artifact is remembered by both tiers. *)
+val fetch :
+  kind:'a Vartune_store.Store.kind ->
+  ?scope:Vartune_store.Store.scope ->
+  ?store:Vartune_store.Store.t ->
+  ctx option ->
+  Vartune_store.Store.Key.t ->
+  (Vartune_store.Codec.reader -> 'a) ->
+  ('a -> Buffer.t -> unit) ->
+  step:('a -> step) ->
+  (unit -> 'a) ->
+  'a * bool
+(** How a pipeline stage gets a cached artifact:
+    {!Vartune_store.Store.fetch} over the shared [store], then the
+    run's [state/] store (either may be absent), so a computed artifact
+    lands in both and a resume finds it even when the shared store is
+    wiped.  With a [ctx], [step v] is recorded after the fetch returns
+    [v], hit or computed; a fetch that raises records nothing. *)

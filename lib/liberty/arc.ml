@@ -27,7 +27,6 @@ let make ~related_pin ~sense ~rise_delay ~fall_delay ~rise_transition ~fall_tran
     rise_delay_sigma; fall_delay_sigma; internal_power }
 
 let worst_delay t = Lut.max_equivalent [ t.rise_delay; t.fall_delay ]
-let worst_transition t = Lut.max_equivalent [ t.rise_transition; t.fall_transition ]
 
 let worst_sigma t =
   match (t.rise_delay_sigma, t.fall_delay_sigma) with

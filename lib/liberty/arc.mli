@@ -39,9 +39,6 @@ val make :
 val worst_delay : t -> Lut.t
 (** Pointwise max of rise and fall delay. *)
 
-val worst_transition : t -> Lut.t
-(** Pointwise max of rise and fall output transition. *)
-
 val worst_sigma : t -> Lut.t option
 (** Pointwise max of the sigma tables, when present. *)
 

@@ -43,8 +43,3 @@ let float_list_of_values values =
        | Number f -> [ f ]
        | String s | Ident s -> split_floats s)
   |> Array.of_list
-
-let pp_value ppf = function
-  | Number f -> Format.fprintf ppf "%g" f
-  | String s -> Format.fprintf ppf "%S" s
-  | Ident s -> Format.pp_print_string ppf s

@@ -34,5 +34,3 @@ val float_list_of_values : value list -> float array
 (** Flattens complex-attribute values into floats: numbers pass through and
     strings are split on commas/whitespace, as liberty's
     [index_1("0.1, 0.2")] requires.  Raises [Failure] on malformed input. *)
-
-val pp_value : Format.formatter -> value -> unit

@@ -48,5 +48,4 @@ let drive_cluster t strength =
   List.filter (fun (c : Cell.t) -> c.drive_strength = strength) t.cells
 
 let filter t ~f = make ~name:t.name ~corner:t.corner ~cells:(List.filter f t.cells)
-let map_cells t ~f = make ~name:t.name ~corner:t.corner ~cells:(List.map f t.cells)
 let total_area t = List.fold_left (fun acc (c : Cell.t) -> acc +. c.area) 0.0 t.cells

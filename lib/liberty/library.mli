@@ -33,7 +33,4 @@ val drive_cluster : t -> int -> Cell.t list
 val filter : t -> f:(Cell.t -> bool) -> t
 (** Sub-library keeping cells satisfying [f]. *)
 
-val map_cells : t -> f:(Cell.t -> Cell.t) -> t
-(** Rebuilds the library transforming every cell. *)
-
 val total_area : t -> float

@@ -21,8 +21,3 @@ let find_arc t ~related_pin =
   List.find_opt (fun (arc : Arc.t) -> arc.related_pin = related_pin) t.arcs
 
 let direction_to_string = function Input -> "input" | Output -> "output"
-
-let direction_of_string = function
-  | "input" -> Some Input
-  | "output" -> Some Output
-  | _ -> None

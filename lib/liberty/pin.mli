@@ -23,4 +23,3 @@ val find_arc : t -> related_pin:string -> Arc.t option
 (** Arc triggered by the named input pin, if any. *)
 
 val direction_to_string : direction -> string
-val direction_of_string : string -> direction option

@@ -24,6 +24,16 @@
     computation (occupying one queue slot) and are answered with
     [dedup = true].
 
+    Coalescing stays here, by request line, rather than in
+    {!Vartune_store.Store.fetch}: the whole request is shared, not just
+    its cached artifacts.  Two [Tune] requests for the same method (the
+    serve_mix benchmark's connections send the same one at each step)
+    then share the restriction-table extraction too, which is most of
+    what a [Tune] still costs and which no artifact fetch caches.
+    Clients also read the coalescing: {!Loadgen} and the
+    benchmark's [serve.dedup_ratio] count {!Vartune_flow.Response.t}
+    replies with [dedup = true].
+
     Live endpoints: the plain-text lines [GET metrics], [GET profile]
     and [GET health] are each answered with one line of JSON —
     {!Vartune_obs.Obs.metrics_json}, the {!Vartune_obs.Profile} of the

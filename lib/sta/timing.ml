@@ -907,12 +907,6 @@ let retime t =
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let worst_endpoint t =
-  match endpoints t with
-  | [] -> None
-  | first :: rest ->
-    Some (List.fold_left (fun acc ep -> if ep.slack < acc.slack then ep else acc) first rest)
-
 let total_negative_slack t =
   List.fold_left
     (fun acc ep -> if ep.slack < 0.0 then acc +. ep.slack else acc)

@@ -120,7 +120,6 @@ val hold_endpoints : t -> endpoint_timing list
 val worst_hold_slack : t -> float
 (** [infinity] when no hold check applies. *)
 
-val worst_endpoint : t -> endpoint_timing option
 val total_negative_slack : t -> float
 (** Sum of negative endpoint slacks (a non-positive number). *)
 

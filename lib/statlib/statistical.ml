@@ -517,14 +517,12 @@ let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
   let key = store_key config ~mismatch ~seed ~n ?specs () in
   let id = Store.Key.id key in
   let specs_used = Option.value specs ~default:Vartune_stdcell.Catalog.specs in
-  let lib, _ =
-    Store.fetch ~kind:Characterize.library_kind (Journal.tiers ?store ckpt) key
-      (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
-      (fun lib b -> Codec.w_library b lib)
-      (fun () -> merge_blocks ?ckpt:(Option.map (fun c -> (c, id)) ckpt) ~pool ~n gen)
-  in
-  Option.iter (fun c -> Journal.record c (Journal.Statlib_built { key = id })) ckpt;
-  lib
+  fst
+    (Journal.fetch ~kind:Characterize.library_kind ?store ckpt key
+       (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
+       (fun lib b -> Codec.w_library b lib)
+       ~step:(fun _ -> Journal.Statlib_built { key = id })
+       (fun () -> merge_blocks ?ckpt:(Option.map (fun c -> (c, id)) ckpt) ~pool ~n gen))
 
 let is_statistical lib =
   List.for_all

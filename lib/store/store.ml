@@ -104,18 +104,23 @@ type entry = { value : univ; size : int; mutable stamp : int }
 
 (* A least-recently-used table under one lock: [order] maps each
    entry's last-use stamp to its recipe id, so its minimum is the next
-   eviction. *)
+   eviction.  A scope is the same table with no budget. *)
 type memory = {
   lock : Mutex.t;
   entries : (string, entry) Hashtbl.t;
   mutable order : string Stamps.t;
   mutable clock : int;
   mutable bytes : int;
+  budget : int;
 }
 
-let new_memory () =
+type scope = memory
+
+let new_memory ~budget =
   { lock = Mutex.create (); entries = Hashtbl.create 16; order = Stamps.empty; clock = 0;
-    bytes = 0 }
+    bytes = 0; budget }
+
+let scope () = new_memory ~budget:max_int
 
 let forget m id =
   match Hashtbl.find_opt m.entries id with
@@ -146,14 +151,14 @@ let recall m kind id =
    large run per request would flush the values every request shares
    (the statistical library) each time. *)
 let remember m kind id v ~size =
-  if size <= memory_budget / 2 then
+  if size <= m.budget / 2 then
     Mutex.protect m.lock (fun () ->
         forget m id;
         let e = { value = kind.inj v; size; stamp = 0 } in
         touch m id e;
         Hashtbl.replace m.entries id e;
         m.bytes <- m.bytes + size;
-        while m.bytes > memory_budget do
+        while m.bytes > m.budget do
           forget m (snd (Stamps.min_binding m.order))
         done)
 
@@ -264,7 +269,7 @@ let open_dir root =
   sweep_litter root;
   {
     root;
-    memory = new_memory ();
+    memory = new_memory ~budget:memory_budget;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     writes = Atomic.make 0;
@@ -276,8 +281,6 @@ let open_dir root =
     consec_failures = Atomic.make 0;
     is_degraded = Atomic.make false;
   }
-
-let open_default () = open_dir (default_dir ())
 
 let entry_path t key =
   let hex = Key.hex key in
@@ -613,11 +616,13 @@ let save t key encode = ignore_outcome (save_result t key encode)
 (* A degraded handle is in no-store mode for its in-process tier too. *)
 let live (t : t) = not (Atomic.get t.is_degraded)
 
-(* Each handle is probed in memory, then on disk.  A computed value is
+(* The scope first: a value it holds touches no handle.  Then each
+   handle is probed in memory, then on disk.  A computed value is
    encoded once, remembered by every live handle and only then saved,
    so a concurrent fetch in this process finds it in memory rather than
-   decoding the bytes being written. *)
-let fetch ~kind stores key decode encode compute =
+   decoding the bytes being written.  The scope holds every value
+   returned; with no live handle nothing is encoded. *)
+let fetch ~kind ?scope stores key decode encode compute =
   let id = Key.id key in
   let rec probe = function
     | [] ->
@@ -643,7 +648,12 @@ let fetch ~kind stores key decode encode compute =
           (v, true)
         | Ok None | Error _ -> probe rest))
   in
-  probe stores
+  match Option.bind scope (fun m -> recall m kind id) with
+  | Some v -> (v, true)
+  | None ->
+    let ((v, _) as got) = probe stores in
+    Option.iter (fun m -> remember m kind id v ~size:0) scope;
+    got
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
@@ -664,13 +674,5 @@ let fold_entries t f init =
     (readdir_quietly (objects_dir t))
 
 let entry_count t = fold_entries t (fun acc _ -> acc + 1) 0
-
-let total_bytes t =
-  fold_entries t
-    (fun acc path ->
-      match Unix.stat path with
-      | { Unix.st_size; _ } -> acc + st_size
-      | exception Unix.Unix_error _ -> acc)
-    0
 
 let wipe t = fold_entries t (fun () path -> remove_quietly path) ()

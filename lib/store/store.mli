@@ -60,6 +60,13 @@
     table shared between handles.  A degraded handle neither consults
     nor fills it.
 
+    {2 Scopes}
+
+    A {!scope} is the same kind of table with no budget: it holds every
+    value {!fetch} returned through it until the scope is dropped, so
+    its owner decides how long values live (an experiment set-up holds
+    its synthesis runs, which are over the admission limit above).
+
     A fetched value may be shared with every later fetch of the same
     key through the same handle, across requests and domains.  Callers
     must treat it as read-only: mutable parts (a synthesised netlist,
@@ -149,9 +156,6 @@ val open_dir : string -> t
 (** Opens (creating if needed) a store rooted at the given directory
     and sweeps temp/lock litter left by crashed writers. *)
 
-val open_default : unit -> t
-(** [open_dir (default_dir ())]. *)
-
 val dir : t -> string
 
 val load : t -> Key.t -> (Codec.reader -> 'a) -> 'a option
@@ -193,23 +197,35 @@ val memory_budget : int
 (** The in-process tier's limit per handle, in bytes of encoded
     payload: 8 MiB. *)
 
+type scope
+(** A budget-free table of fetched values, keyed by {!Key.id}; safe to
+    share across domains. *)
+
+val scope : unit -> scope
+(** A new, empty scope. *)
+
 val fetch :
   kind:'a kind ->
+  ?scope:scope ->
   t list ->
   Key.t ->
   (Codec.reader -> 'a) ->
   ('a -> Buffer.t -> unit) ->
   (unit -> 'a) ->
   'a * bool
-(** [fetch ~kind stores key decode encode compute] is the one
+(** [fetch ~kind ?scope stores key decode encode compute] is the one
     probe-and-save policy of every cached pipeline artifact.  The
-    stores are probed in list order, each first in its in-process tier
-    and then on disk with {!load}, and the first hit wins.  A disk hit
+    [scope] is probed first; a hit there touches no store and no
+    [store.*] counter.  Then the stores are probed in list order, each
+    first in its in-process tier and then on disk with {!load}, and
+    the first hit wins.  A disk hit
     is remembered by the store that served it; it is not written back
     to earlier stores.  On a miss in every store, [compute] runs once,
     its result is encoded once, remembered by every store, and then
-    the same entry bytes are {!save}d to all of them.  The flag is
-    [true] on a hit.  An exception from [compute] (e.g. a journaled
+    the same entry bytes are {!save}d to all of them; with no live
+    store nothing is encoded.  Every value returned, hit or computed,
+    is held by the [scope].  The flag is [true] on a hit in the scope
+    or in any store.  An exception from [compute] (e.g. a journaled
     run's [Interrupted]) propagates and nothing is remembered or
     saved.  Like {!load}, a corrupt entry — including one whose
     decoder raises {!Codec.Corrupt} on a semantic check — is evicted
@@ -226,7 +242,6 @@ val entry_path : t -> Key.t -> string
 (** Where the entry for [key] lives (whether or not it exists). *)
 
 val entry_count : t -> int
-val total_bytes : t -> int
 
 val wipe : t -> unit
 (** Removes every entry (the directory itself survives). *)

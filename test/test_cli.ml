@@ -251,6 +251,40 @@ let test_experiment_run_record () =
     | Error e -> Alcotest.failf "run-started does not decode: %s" (Request.error_message e))
   | _ -> Alcotest.fail "journal does not open with run-started"
 
+(* The steps a journaled sweep records, in order: one per fetched
+   artifact, so the baseline every point is scored against is fetched
+   (and journaled) once.  At jobs 1 the points land in parameter
+   order. *)
+let test_experiment_journal_steps () =
+  let rd = in_temp "experiment_steps" in
+  check_exit "journaled sweep completes" 0
+    (vartune
+       [ "experiment"; "-n"; "8"; "--mc-samples"; "20"; "--period"; "5"; "--no-store";
+         "--jobs"; "1"; "--run-dir"; rd ]);
+  let listing = in_temp "experiment_steps.txt" in
+  check_exit "journal listing validates" 0 (vartune ~capture:listing [ "journal"; rd ]);
+  let steps =
+    String.split_on_char '\n' (read_file listing)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> if String.starts_with ~prefix:"run-started " l then "run-started" else l)
+  in
+  Alcotest.(check (list string))
+    "journaled sweep steps"
+    [
+      "run-started";
+      "block-done lo=0 hi=4";
+      "block-done lo=4 hi=8";
+      "statlib-built";
+      "min-period 4.09912109375";
+      "synthesis-done label=baseline period=5";
+      "synthesis-done label=cell/ceiling=0.01 period=5";
+      "synthesis-done label=cell/ceiling=0.02 period=5";
+      "synthesis-done label=cell/ceiling=0.05 period=5";
+      "sweep-done tuning=cell/ceiling=0.02 period=5 points=3";
+      "sealed reason=completed";
+    ]
+    steps
+
 let test_statlib_interrupt_resume () =
   let rd = in_temp "run" and rd_ref = in_temp "run_ref" in
   let common = [ "-n"; "8"; "--jobs"; "1"; "--no-store" ] in
@@ -417,6 +451,7 @@ let () =
           Alcotest.test_case "statlib interrupt/resume with store" `Slow
             test_statlib_resume_with_store;
           Alcotest.test_case "experiment run record" `Slow test_experiment_run_record;
+          Alcotest.test_case "experiment journal steps" `Slow test_experiment_journal_steps;
         ] );
       ( "serve",
         [

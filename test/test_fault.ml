@@ -353,7 +353,7 @@ let observe ?store () =
   in
   let period = setup.Experiment.min_period *. 1.5 in
   let base = Experiment.baseline setup ~period in
-  let points = Experiment.sweep setup ~period ~tuning ~parameters:[ 0.01 ] in
+  let points = Experiment.sweep setup ~baseline:base ~tuning ~parameters:[ 0.01 ] in
   ( bits setup.Experiment.min_period,
     run_scalars base,
     List.map

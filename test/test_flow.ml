@@ -123,7 +123,7 @@ let test_cache_scoped_to_setup () =
   let a = Experiment.baseline setup ~period in
   let b = Experiment.baseline setup ~period in
   Alcotest.(check bool) "memoised within a setup" true (a == b);
-  let fresh = Experiment.fresh_memo setup in
+  let fresh = Experiment.fresh_cache setup in
   let c = Experiment.baseline fresh ~period in
   Alcotest.(check bool) "fresh cache recomputes" false (a == c);
   Helpers.check_float "recomputation deterministic"
@@ -138,13 +138,16 @@ let test_sweep_pool_invariant () =
       criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02 }
   in
   let parameters = [ 0.01; 0.02; 0.05 ] in
-  let run pool setup = Experiment.sweep ~pool setup ~period ~tuning ~parameters in
+  let run pool setup =
+    Experiment.sweep ~pool setup ~baseline:(Experiment.baseline setup ~period) ~tuning
+      ~parameters
+  in
   let with_jobs jobs f =
     let pool = Pool.create ~jobs () in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
   in
-  let serial = with_jobs 1 (fun pool -> run pool (Experiment.fresh_memo setup)) in
-  let parallel = with_jobs 4 (fun pool -> run pool (Experiment.fresh_memo setup)) in
+  let serial = with_jobs 1 (fun pool -> run pool (Experiment.fresh_cache setup)) in
+  let parallel = with_jobs 4 (fun pool -> run pool (Experiment.fresh_cache setup)) in
   List.iter2
     (fun (s : Experiment.sweep_point) (p : Experiment.sweep_point) ->
       Helpers.check_float ~eps:0.0 "parameter" s.Experiment.parameter p.Experiment.parameter;
@@ -185,9 +188,10 @@ let test_dispatch_counts () =
     { Vartune_tuning.Tuning_method.population = Vartune_tuning.Cluster.Per_cell;
       criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02 }
   in
+  let fresh = Experiment.fresh_cache setup in
+  let baseline = Experiment.baseline fresh ~period:(setup.Experiment.min_period *. 1.5) in
   enqueued "sweep, 6 parameters" 6 (fun () ->
-      Experiment.sweep ~pool (Experiment.fresh_memo setup)
-        ~period:(setup.Experiment.min_period *. 1.5) ~tuning
+      Experiment.sweep ~pool fresh ~baseline ~tuning
         ~parameters:[ 0.005; 0.01; 0.02; 0.03; 0.05; 0.08 ]);
   (* chunks of 1250 samples *)
   enqueued "path MC, n=20000" 16 (fun () ->

@@ -423,8 +423,8 @@ let string_kind : string Store.kind = Store.kind ()
 
 let counting () =
   let c = { decodes = ref 0; encodes = ref 0; computes = ref 0 } in
-  let fetch ?(kind = string_kind) ?(compute = fun () -> "computed") stores key =
-    Store.fetch ~kind stores key
+  let fetch ?(kind = string_kind) ?scope ?(compute = fun () -> "computed") stores key =
+    Store.fetch ~kind ?scope stores key
       (fun r ->
         incr c.decodes;
         Codec.r_string r)
@@ -557,6 +557,42 @@ let test_fetch_encodes_once () =
                (read_file (Store.entry_path first key))
                (read_file (Store.entry_path second key)))))
 
+(* A scope answers before every store: its hits touch no handle. *)
+let test_scope_hit_touches_no_store () =
+  with_store "scope_hit" (fun t ->
+      let c, fetch = counting () in
+      let scope = Store.scope () in
+      let computed = Key.(int (v "scope_probe") "case" 1) in
+      let on_disk = Key.(int (v "scope_probe") "case" 2) in
+      Store.save t on_disk (fun b -> Codec.w_string b "saved");
+      Alcotest.(check (pair string bool)) "computed" ("computed", false)
+        (fetch ~scope [ t ] computed);
+      Alcotest.(check (pair string bool)) "disk hit" ("saved", true) (fetch ~scope [ t ] on_disk);
+      check_counts "cold" c ~decodes:1 ~encodes:1 ~computes:1;
+      let before = Store.stats t in
+      Alcotest.(check (pair string bool)) "computed, held" ("computed", true)
+        (fetch ~scope [ t ] computed);
+      Alcotest.(check (pair string bool)) "decoded, held" ("saved", true)
+        (fetch ~scope [ t ] on_disk);
+      check_counts "scope hits" c ~decodes:1 ~encodes:1 ~computes:1;
+      Alcotest.(check bool) "store stats untouched" true (Store.stats t = before);
+      Alcotest.(check (pair string bool)) "another scope asks the store" ("computed", true)
+        (fetch ~scope:(Store.scope ()) [ t ] computed);
+      Alcotest.(check int) "one more store hit" (before.Store.hits + 1) (Store.stats t).Store.hits)
+
+(* With no store a scope still holds what it computed, at any size, and
+   nothing is encoded. *)
+let test_scope_without_store () =
+  let c, fetch = counting () in
+  let scope = Store.scope () in
+  let key = Key.(int (v "scope_probe") "case" 3) in
+  let big = blob Store.memory_budget 's' in
+  Alcotest.(check bool) "computed" true
+    (fetch ~scope ~compute:(fun () -> big) [] key = (big, false));
+  Alcotest.(check bool) "held" true (fetch ~scope [] key = (big, true));
+  check_counts "one compute, no encode" c ~decodes:0 ~encodes:0 ~computes:1;
+  Alcotest.(check bool) "no scope recomputes" true (fetch [] key = ("computed", false))
+
 (* A stored library whose cell count contradicts the specs in its key
    passed the checksum but is logically corrupt: it must be evicted and
    recomputed, never served. *)
@@ -605,7 +641,7 @@ let test_flow_cold_warm_identical () =
         let period = setup.Experiment.min_period *. 1.5 in
         let base = Experiment.baseline setup ~period in
         let points =
-          Experiment.sweep ?pool setup ~period ~tuning ~parameters:[ 0.01; 0.05 ]
+          Experiment.sweep ?pool setup ~baseline:base ~tuning ~parameters:[ 0.01; 0.05 ]
         in
         ( bits setup.Experiment.min_period,
           run_scalars base,
@@ -632,9 +668,42 @@ let test_flow_cold_warm_identical () =
       Alcotest.(check bool) "warm == cold (bitwise)" true (warm = cold);
       (* the shared store-less fixture is the reference *)
       let bare =
-        observe (Experiment.fresh_memo (Lazy.force tiny_setup))
+        observe (Experiment.fresh_cache (Lazy.force tiny_setup))
       in
       Alcotest.(check bool) "store-less == cold (bitwise)" true (bare = cold))
+
+(* The restriction table is built only when a tuned run is computed:
+   neither a second fetch in the same setup nor a warm store builds it. *)
+let test_restrictions_built_on_compute () =
+  with_store "restrictions" (fun t ->
+      let prepare () =
+        Experiment.prepare_request ~mcu_config:tiny_config ~store:t
+          (Vartune_flow.Request.Min_period { seed = 7; samples = 2 })
+      in
+      let tuning =
+        {
+          Tuning_method.population = Vartune_tuning.Cluster.Per_cell;
+          criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02;
+        }
+      in
+      let module Obs = Vartune_obs.Obs in
+      let opened () =
+        List.length (List.filter (fun e -> e.Obs.name = "tuning.restrictions") (Obs.events ()))
+      in
+      let tables setup =
+        let was = Obs.enabled () and before = opened () in
+        Obs.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled was)
+          (fun () ->
+            ignore
+              (Experiment.tuned setup ~period:(setup.Experiment.min_period *. 1.5) ~tuning));
+        opened () - before
+      in
+      let cold = prepare () in
+      Alcotest.(check int) "computed run builds the table" 1 (tables cold);
+      Alcotest.(check int) "scope hit builds none" 0 (tables cold);
+      Alcotest.(check int) "warm store builds none" 0 (tables (prepare ())))
 
 let () =
   Alcotest.run "store"
@@ -688,6 +757,9 @@ let () =
           Alcotest.test_case "compute raises, nothing remembered" `Quick
             test_memory_compute_raises;
           Alcotest.test_case "one encode for every store" `Quick test_fetch_encodes_once;
+          Alcotest.test_case "scope hit touches no store" `Quick
+            test_scope_hit_touches_no_store;
+          Alcotest.test_case "scope without store" `Quick test_scope_without_store;
           Alcotest.test_case "nominal rejects wrong cell count" `Quick
             test_nominal_rejects_wrong_cell_count;
         ] );
@@ -695,5 +767,7 @@ let () =
         [
           Alcotest.test_case "cold/warm/no-store identical" `Slow
             test_flow_cold_warm_identical;
+          Alcotest.test_case "restrictions built on compute only" `Slow
+            test_restrictions_built_on_compute;
         ] );
     ]
