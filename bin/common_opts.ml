@@ -192,6 +192,15 @@ let validate_env () =
       | _ -> ())
     [ "VARTUNE_CKPT_BLOCKS"; "VARTUNE_STOP_AFTER_BLOCKS" ]
 
+(* A sample count below one asks for statistics of nothing: a data
+   error (65) naming the flag, before any work starts — the same
+   verdict a request line with such a count gets. *)
+let check_count flag n =
+  if n < 1 then begin
+    Log.err (fun m -> m "data error: %s: %d is not a positive count" flag n);
+    exit 65 (* EX_DATAERR *)
+  end
+
 (* Logging + telemetry + fault injection + worker-pool size in one step
    so every subcommand applies --jobs before its first parallel stage. *)
 let setup t =
@@ -204,6 +213,7 @@ let setup t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   validate_env ();
+  check_count "--samples" t.samples;
   setup_obs t;
   setup_faults t;
   Option.iter Pool.set_default_jobs t.jobs

@@ -319,6 +319,7 @@ let experiment_cmd =
   in
   let run ((common : Common_opts.t), base) period tuning mc_samples run_dir =
     Common_opts.setup common;
+    Common_opts.check_count "--mc-samples" mc_samples;
     Common_opts.guard @@ fun () ->
     let tuning = Option.value tuning ~default:default_method in
     let req =

@@ -8,6 +8,7 @@ module Mismatch = Vartune_process.Mismatch
 module Spec = Vartune_stdcell.Spec
 module Func = Vartune_stdcell.Func
 module Obs = Vartune_obs.Obs
+module Grid = Vartune_util.Grid
 
 let c_cells = Obs.Counter.make "charlib.cells"
 let c_arcs = Obs.Counter.make "charlib.arcs"
@@ -33,33 +34,42 @@ let load_axis config spec ~drive =
 
 let no_sample _spec ~drive:_ = Mismatch.zero_sample
 
+(* Sequential cells launch from the clock pin; combinational cells have
+   one arc per data input.  Tie cells have no arcs at all. *)
+let arc_inputs func =
+  match Func.clock_name func with
+  | Some clock -> [ clock ]
+  | None -> Func.input_names func
+
 let arc config spec ~drive ~sample ~input ~output =
-  let corner_factor = Corner.delay_factor config.corner in
   let loads = load_axis config spec ~drive in
   let slews = config.slew_axis in
-  let table f = Lut.of_fn ~slews ~loads f in
-  let delay edge ~slew ~load =
-    Delay_model.delay config.params spec ~drive ~output ~edge ~corner_factor ~sample ~slew
-      ~load
-  in
-  let transition edge ~slew ~load =
-    Delay_model.transition config.params spec ~drive ~output ~edge ~corner_factor ~sample
-      ~slew ~load
+  let rows = Array.length slews and cols = Array.length loads in
+  let size = rows * cols in
+  let surfaces = Array.create_float (4 * size) in
+  Delay_model.fill_arc config.params spec ~drive ~output
+    ~corner_factor:(Corner.delay_factor config.corner) ~sample ~slews ~loads surfaces 0;
+  let table k =
+    Lut.make ~slews ~loads ~values:(Grid.of_flat ~rows ~cols (Array.sub surfaces (k * size) size))
   in
   let energy ~slew ~load =
     Delay_model.internal_energy config.params spec ~drive ~slew ~load
   in
-  Obs.Counter.incr c_arcs;
   Arc.make ~related_pin:input
     ~sense:(Func.arc_sense spec.func ~input ~output)
-    ~rise_delay:(table (delay Delay_model.Rise))
-    ~fall_delay:(table (delay Delay_model.Fall))
-    ~rise_transition:(table (transition Delay_model.Rise))
-    ~fall_transition:(table (transition Delay_model.Fall))
-    ~internal_power:(table energy) ()
+    ~rise_delay:(table 0) ~fall_delay:(table 1) ~rise_transition:(table 2)
+    ~fall_transition:(table 3)
+    ~internal_power:(Lut.of_fn ~slews ~loads energy) ()
 
-let cell config ?(sample_for = no_sample) (spec : Spec.t) ~drive =
+(* One characterised cell in [charlib.cells], its arcs in
+   [charlib.arcs]; the skeleton characterises no sample and counts
+   nothing. *)
+let count_cell (spec : Spec.t) =
   Obs.Counter.incr c_cells;
+  Obs.Counter.add c_arcs
+    (List.length (Func.output_names spec.func) * List.length (arc_inputs spec.func))
+
+let cell config ~sample_for (spec : Spec.t) ~drive =
   let sample = sample_for spec ~drive in
   let func = spec.func in
   let cap = Spec.input_capacitance spec ~drive in
@@ -71,17 +81,12 @@ let cell config ?(sample_for = no_sample) (spec : Spec.t) ~drive =
     | None -> []
     | Some name -> [ Pin.input ~name ~capacitance:(cap *. 0.8) ]
   in
-  (* Sequential cells launch from the clock pin; combinational cells have
-     one arc per data input.  Tie cells have no arcs at all. *)
-  let arc_inputs =
-    match Func.clock_name func with
-    | Some clock -> [ clock ]
-    | None -> Func.input_names func
-  in
   let output_pins =
     List.map
       (fun output ->
-        let arcs = List.map (fun input -> arc config spec ~drive ~sample ~input ~output) arc_inputs in
+        let arcs =
+          List.map (fun input -> arc config spec ~drive ~sample ~input ~output) (arc_inputs func)
+        in
         Pin.output ~name:output ~max_capacitance:(Spec.max_capacitance spec ~drive) ~arcs ())
       (Func.output_names func)
   in
@@ -104,18 +109,53 @@ let cell config ?(sample_for = no_sample) (spec : Spec.t) ~drive =
     ?clock_pin:(Func.clock_name func)
     ~leakage:(Delay_model.leakage spec ~drive) ()
 
-let library config ?name ?sample_for specs =
-  let name = Option.value name ~default:(Corner.name config.corner) in
+let library_span name specs f =
   Obs.span "charlib.library"
     ~attrs:(fun () -> [ ("library", name); ("families", string_of_int (List.length specs)) ])
-    (fun () ->
-      let cells =
-        List.concat_map
-          (fun (spec : Spec.t) ->
-            List.map (fun drive -> cell config ?sample_for spec ~drive) spec.drives)
-          specs
-      in
-      Library.make ~name ~corner:(Corner.name config.corner) ~cells)
+    f
+
+let cells_of specs make =
+  List.concat_map (fun (spec : Spec.t) -> List.map (fun drive -> make spec ~drive) spec.drives) specs
+
+let library config ?name ?(sample_for = no_sample) specs =
+  let name = Option.value name ~default:(Corner.name config.corner) in
+  library_span name specs (fun () ->
+      Library.make ~name ~corner:(Corner.name config.corner)
+        ~cells:
+          (cells_of specs (fun spec ~drive ->
+               count_cell spec;
+               cell config ~sample_for spec ~drive)))
+
+let skeleton config ~name specs =
+  Library.make ~name ~corner:(Corner.name config.corner)
+    ~cells:(cells_of specs (cell config ~sample_for:no_sample))
+
+let surfaces config ~name ~sample_for specs dst =
+  library_span name specs (fun () ->
+      let corner_factor = Corner.delay_factor config.corner in
+      let slews = config.slew_axis in
+      let pos = ref 0 in
+      List.iter
+        (fun (spec : Spec.t) ->
+          let outputs = Func.output_names spec.func in
+          let arcs_per_output = List.length (arc_inputs spec.func) in
+          List.iter
+            (fun drive ->
+              count_cell spec;
+              let sample = sample_for spec ~drive in
+              let loads = load_axis config spec ~drive in
+              let block = 4 * Array.length slews * Array.length loads in
+              List.iter
+                (fun output ->
+                  for _ = 1 to arcs_per_output do
+                    Delay_model.fill_arc config.params spec ~drive ~output ~corner_factor
+                      ~sample ~slews ~loads dst !pos;
+                    pos := !pos + block
+                  done)
+                outputs)
+            spec.drives)
+        specs;
+      !pos)
 
 module Store = Vartune_store.Store
 module Codec = Vartune_store.Codec

@@ -19,22 +19,39 @@ val default_config : config
 val load_axis : config -> Vartune_stdcell.Spec.t -> drive:int -> float array
 (** Absolute load axis of one cell, pF. *)
 
-val cell :
-  config ->
-  ?sample_for:(Vartune_stdcell.Spec.t -> drive:int -> Vartune_process.Mismatch.sample) ->
-  Vartune_stdcell.Spec.t ->
-  drive:int ->
-  Vartune_liberty.Cell.t
-(** Characterises one cell.  [sample_for] supplies the local-variation
-    sample applied to all of the cell's arcs (defaults to no variation). *)
-
 val library :
   config ->
   ?name:string ->
   ?sample_for:(Vartune_stdcell.Spec.t -> drive:int -> Vartune_process.Mismatch.sample) ->
   Vartune_stdcell.Spec.t list ->
   Vartune_liberty.Library.t
-(** Characterises a whole catalog.  The default name is the corner tag. *)
+(** Characterises a whole catalog.  [sample_for] supplies the
+    local-variation sample applied to all of a cell's arcs (defaults to
+    no variation).  The default name is the corner tag. *)
+
+val skeleton : config -> name:string -> Vartune_stdcell.Spec.t list -> Vartune_liberty.Library.t
+(** The library {!library} would build, with nominal tables, as the
+    structure every sample library shares (cells, pins, arcs, axes,
+    internal power).  It opens no span and counts no cell: it
+    characterises no sample. *)
+
+val surfaces :
+  config ->
+  name:string ->
+  sample_for:(Vartune_stdcell.Spec.t -> drive:int -> Vartune_process.Mismatch.sample) ->
+  Vartune_stdcell.Spec.t list ->
+  float array ->
+  int
+(** [surfaces config ~name ~sample_for specs dst] characterises one
+    sample straight into [dst]: for every arc of
+    [library config ~name ~sample_for specs], cells in library order and
+    arcs in [Cell.arcs] order, the four surfaces
+    {!Delay_model.fill_arc} writes, one block after the other from
+    index 0.  Returns the number of entries written.  The entries are
+    bit-identical to that library's tables, but no library, cell, arc,
+    table or power table is built.  Opens the same [charlib.library]
+    span and counts the same [charlib.cells]/[charlib.arcs] as
+    {!library}.  Raises [Invalid_argument] if [dst] is too short. *)
 
 val nominal :
   ?specs:Vartune_stdcell.Spec.t list ->

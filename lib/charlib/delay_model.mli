@@ -16,7 +16,13 @@
 
     Because the corner factor multiplies the whole expression, mean and
     sigma scale together across corners — the property the paper verifies
-    in Section VII-C. *)
+    in Section VII-C.
+
+    The delay and transition formulas exist once in this module:
+    {!fill_arc} evaluates them over a whole table with the per-(cell,
+    output, edge, sample) terms hoisted, and {!delay}/{!transition}
+    evaluate the same expressions at one point, bit-identically.  Every
+    characterised table, nominal or sampled, comes from {!fill_arc}. *)
 
 type params = {
   tau : float;  (** intrinsic delay unit, ns *)
@@ -64,6 +70,30 @@ val transition :
   load:float ->
   float
 (** Output transition time in ns. *)
+
+val fill_arc :
+  params ->
+  Vartune_stdcell.Spec.t ->
+  drive:int ->
+  output:string ->
+  corner_factor:float ->
+  sample:Vartune_process.Mismatch.sample ->
+  slews:float array ->
+  loads:float array ->
+  float array ->
+  int ->
+  unit
+(** [fill_arc p spec ... ~slews ~loads dst pos] writes the four timing
+    surfaces of one output of one cell sample into [dst] from [pos]:
+    rise delay, fall delay, rise transition, fall transition, each
+    row-major over [slews] × [loads] ([size = rows * cols] entries
+    each, [4 * size] in all).  This is the model's one kernel: the
+    terms that depend only on (cell, output, edge, sample) are hoisted
+    out of the table loop, and every entry is bit-identical to {!delay}
+    and {!transition} at that operating point, which evaluate the same
+    per-entry formulas.  No entry depends on the input pin, so every
+    arc into [output] has these surfaces.  Raises [Invalid_argument]
+    when the surfaces do not fit [dst] from [pos]. *)
 
 val internal_energy :
   params ->

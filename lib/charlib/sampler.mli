@@ -2,7 +2,10 @@
 
     Each sample library is the catalog re-characterised with one fresh
     local-variation draw per cell; the set of N sample libraries is the
-    input to the statistical merge.  The paper uses N = 50. *)
+    input to the statistical merge.  The paper uses N = 50.  A sample
+    is characterised either as a library ({!sample_library}) or straight
+    into the merge's flat layout ({!sample_surfaces}); both give the
+    same bits. *)
 
 val sample_library :
   Characterize.config ->
@@ -17,28 +20,22 @@ val sample_library :
     from [(seed, index, cell)], so sample k is identical whether
     generated alone, as part of a batch, or on a worker domain. *)
 
-val sample_libraries :
-  ?pool:Vartune_util.Pool.t ->
+val sample_surfaces :
   Characterize.config ->
   mismatch:Vartune_process.Mismatch.t ->
   seed:int ->
-  n:int ->
+  index:int ->
   ?specs:Vartune_stdcell.Spec.t list ->
-  unit ->
-  Vartune_liberty.Library.t list
-(** N sample libraries, indices 0..n-1, characterised across the pool
-    (default {!Vartune_util.Pool.default}) and returned in index order;
-    output is independent of the pool size. *)
+  float array ->
+  int
+(** The timing surfaces of {!sample_library} with the same arguments,
+    written straight into a flat array by {!Characterize.surfaces}
+    (same order, same bits, same span and counters) without building
+    the library; returns the number of entries written.  This is how
+    {!Vartune_statlib.Statistical.build} characterises its samples. *)
 
-val fold_samples :
-  Characterize.config ->
-  mismatch:Vartune_process.Mismatch.t ->
-  seed:int ->
-  n:int ->
-  ?specs:Vartune_stdcell.Spec.t list ->
-  init:'a ->
-  f:('a -> Vartune_liberty.Library.t -> 'a) ->
-  unit ->
-  'a
-(** Streams the N sample libraries through [f] without retaining them —
-    the memory-friendly path used to build statistical libraries. *)
+val proto :
+  Characterize.config -> ?specs:Vartune_stdcell.Spec.t list -> unit -> Vartune_liberty.Library.t
+(** The structure every sample library of [specs] shares, named as
+    sample 0 ({!Characterize.skeleton}): the skeleton that the
+    statistical merge rebuilds its result from. *)

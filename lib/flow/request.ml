@@ -195,7 +195,13 @@ let get_method_opt name json =
     | Some m -> Some m
     | None -> bad "field %S: unknown tuning method %S" name s)
 
-let get_base json = { seed = get_int "seed" json; samples = get_int "samples" json }
+(* A sample count below one asks for statistics of nothing. *)
+let check_count name = function
+  | n when n < 1 -> bad "field %S: %d is not a positive count" name n
+  | n -> n
+
+let get_base json =
+  { seed = get_int "seed" json; samples = check_count "samples" (get_int "samples" json) }
 
 let get_parameters json =
   match Json.member "parameters" json with
@@ -246,7 +252,7 @@ let of_line line =
               tuning = get_method "method" json;
               period = get_float_opt "period" json;
               parameters = get_parameters json;
-              mc_samples = get_int_opt "mc_samples" json;
+              mc_samples = Option.map (check_count "mc_samples") (get_int_opt "mc_samples" json);
             }
         | Some "design_sigma" ->
           Design_sigma

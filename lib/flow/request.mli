@@ -127,8 +127,9 @@ val to_line : ?id:int -> ?priority:priority -> ?deadline_s:float -> t -> string
 
 val of_line : string -> (envelope, error) result
 (** Parses one wire line; inverse of {!to_line} (structurally equal,
-    floats bit-exact).  An unknown [priority] spelling or a
-    non-positive [deadline_s] is {!error.Malformed}. *)
+    floats bit-exact).  An unknown [priority] spelling, a non-positive
+    [deadline_s], and a [samples] or [mc_samples] count below 1 are
+    {!error.Malformed}, naming the field. *)
 
 val key : t -> string
 (** Canonical identity of the computation ({!to_line} without [id]) —

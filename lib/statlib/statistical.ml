@@ -15,20 +15,24 @@ let c_entries = Obs.Counter.make "statlib.lut_entries_merged"
 (* Flat SoA layout                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A sample library's statistics live in ONE flat float array per
-   accumulator role (mean, m2, sample scratch), not in per-entry or
-   per-table records.  The [layout] is the structural skeleton derived
-   from a chunk's first sample: for flattened arc [a] (cells in library
-   order, arcs in [Cell.arcs] order), the four tables occupy the block
+(* A sample's statistics live in ONE flat float array per accumulator
+   role (mean, m2, sample scratch), not in per-entry or per-table
+   records.  The [layout] is the structural skeleton derived once per
+   merge from its proto library: for flattened arc [a] (cells in
+   library order, arcs in [Cell.arcs] order), the four tables occupy
+   the block
 
      [offset.(a) ... offset.(a) + 4 * size.(a))
 
    in sub-block order rise_delay, fall_delay, rise_transition,
-   fall_transition, each sub-block the row-major table surface.  The
+   fall_transition, each sub-block the row-major table surface — the
+   order in which [Characterize.surfaces] writes a sample.  The
    entry-wise Welford update and Chan merge (paper Section IV) then run
    once over the whole array through Vartune_util.Kernel — contiguous,
    unboxed, no per-entry structure. *)
 type layout = {
+  name : string;  (* the proto's name and corner, inherited by the result *)
+  corner : string;
   proto_cells : Cell.t array;  (* structure: names, pins, leakage, ... *)
   arc_protos : Arc.t array;  (* flattened arc order; axes + power protos *)
   cell_first_arc : int array;  (* cell -> first index into arc_protos *)
@@ -64,7 +68,8 @@ let layout_of_library lib =
       size.(ai) <- rows * cols;
       total := !total + (4 * rows * cols))
     arc_protos;
-  { proto_cells; arc_protos; cell_first_arc; cell_arc_count; offset; size; total = !total }
+  { name = Library.name lib; corner = Library.corner lib; proto_cells; arc_protos;
+    cell_first_arc; cell_arc_count; offset; size; total = !total }
 
 (* Copy one sample library's surfaces into [buf] (length [total]),
    validating its structure against the layout: cell count, cell order,
@@ -103,34 +108,6 @@ let flatten_into layout lib buf =
         arcs)
     cells
 
-(* Structural agreement of two chunk layouts, checked in the same order
-   as [flatten_into] (count, cell order, arc count, arc order, axes) so
-   a malformed stream raises the same message whichever check sees it. *)
-let check_layouts_agree a b =
-  if Array.length b.proto_cells <> Array.length a.proto_cells then
-    invalid_arg "Statistical: sample library has mismatched cell count";
-  Array.iteri
-    (fun ci (ca : Cell.t) ->
-      let cb = b.proto_cells.(ci) in
-      if cb.Cell.name <> ca.Cell.name then
-        invalid_arg "Statistical: sample library has mismatched cell order";
-      if b.cell_arc_count.(ci) <> a.cell_arc_count.(ci) then
-        invalid_arg "Statistical: sample library has mismatched arc count";
-      let first = a.cell_first_arc.(ci) in
-      for k = 0 to a.cell_arc_count.(ci) - 1 do
-        let pa = a.arc_protos.(first + k) and pb = b.arc_protos.(b.cell_first_arc.(ci) + k) in
-        if pb.Arc.related_pin <> pa.Arc.related_pin then
-          invalid_arg "Statistical: sample library has mismatched arc order";
-        if
-          not
-            (Lut.same_axes pa.Arc.rise_delay pb.Arc.rise_delay
-            && Lut.same_axes pa.Arc.fall_delay pb.Arc.fall_delay
-            && Lut.same_axes pa.Arc.rise_transition pb.Arc.rise_transition
-            && Lut.same_axes pa.Arc.fall_transition pb.Arc.fall_transition)
-        then invalid_arg "Statistical: sample library has mismatched table axes"
-      done)
-    a.proto_cells
-
 (* ------------------------------------------------------------------ *)
 (* Chunked Welford accumulation                                        *)
 (* ------------------------------------------------------------------ *)
@@ -141,38 +118,24 @@ let check_layouts_agree a b =
    jobs = 1 serial fallback. *)
 let merge_chunk = 4
 
-type chunk_acc = {
-  first_name : string;
-  first_corner : string;
-  layout : layout;
-  mutable count : int;
-  mean : float array;
-  m2 : float array;
-}
+type chunk_acc = { mutable count : int; mean : float array; m2 : float array }
 
-let accumulate_chunk gen ~lo ~hi =
+(* Samples [lo, hi) through [fill], which writes one sample's surfaces
+   in layout order into a scratch array of length [layout.total]; the
+   scratch is overwritten by the next sample, so the chunk never holds
+   more than one sample beyond the running statistics. *)
+let accumulate_chunk layout fill ~lo ~hi =
   Obs.span "statlib.chunk"
     ~attrs:(fun () -> [ ("lo", string_of_int lo); ("hi", string_of_int hi) ])
     (fun () ->
-      let first = gen lo in
-      let layout = layout_of_library first in
-      let mean = Array.make layout.total 0.0 in
-      let m2 = Array.make layout.total 0.0 in
-      (* One reusable scratch buffer: each sample library streams
-         through it and is dead before the next is generated — the
-         chunk never holds more than one sample's surfaces beyond the
-         running statistics. *)
-      let scratch = Array.make layout.total 0.0 in
-      let acc = { first_name = Library.name first; first_corner = Library.corner first;
-                  layout; count = 0; mean; m2 } in
-      let feed lib =
-        flatten_into layout lib scratch;
-        acc.count <- acc.count + 1;
-        Kernel.Welford.update ~n:acc.count ~mean ~m2 scratch
+      let acc =
+        { count = 0; mean = Array.make layout.total 0.0; m2 = Array.make layout.total 0.0 }
       in
-      feed first;
-      for index = lo + 1 to hi - 1 do
-        feed (gen index)
+      let scratch = Array.make layout.total 0.0 in
+      for index = lo to hi - 1 do
+        fill index scratch;
+        acc.count <- acc.count + 1;
+        Kernel.Welford.update ~n:acc.count ~mean:acc.mean ~m2:acc.m2 scratch
       done;
       Obs.Counter.add c_samples (hi - lo);
       Obs.Counter.add c_entries ((hi - lo) * layout.total);
@@ -183,11 +146,10 @@ let accumulate_chunk gen ~lo ~hi =
    surface.  The zero-count copy stays a plain blit, so it never goes
    through arithmetic. *)
 let chunk_merge a b =
-  check_layouts_agree a.layout b.layout;
   if b.count > 0 then begin
     if a.count = 0 then begin
-      Array.blit b.mean 0 a.mean 0 a.layout.total;
-      Array.blit b.m2 0 a.m2 0 a.layout.total;
+      Array.blit b.mean 0 a.mean 0 (Array.length a.mean);
+      Array.blit b.m2 0 a.m2 0 (Array.length a.m2);
       a.count <- b.count
     end
     else begin
@@ -202,8 +164,7 @@ let chunk_merge a b =
 (* Rebuilding the library from the flat statistics                     *)
 (* ------------------------------------------------------------------ *)
 
-let finish_arc chunk ai =
-  let layout = chunk.layout in
+let finish_arc layout chunk ai =
   let proto = layout.arc_protos.(ai) in
   let off = layout.offset.(ai) and sz = layout.size.(ai) in
   let rows, cols = Lut.dims proto.Arc.rise_delay in
@@ -224,12 +185,13 @@ let finish_arc chunk ai =
     ~fall_transition:(mean_lut 3) ~rise_delay_sigma:(sigma_lut 0)
     ~fall_delay_sigma:(sigma_lut 1) ?internal_power:proto.Arc.internal_power ()
 
-let finish_cell chunk ci =
+let finish_cell layout chunk ci =
   (* Rebuild the cell, swapping each output pin's arcs for the merged
      ones.  Arc order is the concatenation order of Cell.arcs. *)
-  let layout = chunk.layout in
   let first = layout.cell_first_arc.(ci) in
-  let merged = Array.init layout.cell_arc_count.(ci) (fun k -> finish_arc chunk (first + k)) in
+  let merged =
+    Array.init layout.cell_arc_count.(ci) (fun k -> finish_arc layout chunk (first + k))
+  in
   let cursor = ref 0 in
   let take n =
     let slice = Array.sub merged !cursor n in
@@ -250,15 +212,16 @@ let finish_cell chunk ci =
     ~kind:c.Cell.kind ~area:c.Cell.area ~pins ~setup_time:c.Cell.setup_time
     ~hold_time:c.Cell.hold_time ?clock_pin:c.Cell.clock_pin ~leakage:c.Cell.leakage ()
 
-let finish_library chunk =
+let finish_library layout chunk =
   let cells =
-    List.init (Array.length chunk.layout.proto_cells) (fun ci -> finish_cell chunk ci)
+    List.init (Array.length layout.proto_cells) (fun ci -> finish_cell layout chunk ci)
   in
-  Library.make ~name:(chunk.first_name ^ "_stat") ~corner:chunk.first_corner ~cells
+  Library.make ~name:(layout.name ^ "_stat") ~corner:layout.corner ~cells
 
 module Store = Vartune_store.Store
 module Codec = Vartune_store.Codec
 module Characterize = Vartune_charlib.Characterize
+module Sampler = Vartune_charlib.Sampler
 module Journal = Vartune_journal.Journal
 
 let store_key config ~mismatch ~seed ~n ?specs () =
@@ -291,10 +254,9 @@ let store_key config ~mismatch ~seed ~n ?specs () =
    store artifacts stay valid with no version bump.
 
    Only the mutable statistics are stored.  The structural skeleton
-   (cells, pins, arcs, LUT axes, internal power) is rebuilt on decode
-   from the proto library — sample 0, regenerated from the recorded
-   seed — which is the same proto an uninterrupted left-to-right merge
-   carries in its head chunk.  Any mismatch between stored statistics
+   (cells, pins, arcs, LUT axes, internal power) is the merge's one
+   layout, derived from the same proto library an uninterrupted merge
+   rebuilds its result from.  Any mismatch between stored statistics
    and the rebuilt skeleton raises [Codec.Corrupt], the store evicts
    the entry, and the resuming build falls back to an older checkpoint
    or a cold start: a corrupt checkpoint can cost time, never
@@ -336,11 +298,10 @@ let r_table_acc_into ~expected_count r chunk ~rows ~cols pos =
   r_surface_into r ~rows ~cols chunk.mean pos;
   r_surface_into r ~rows ~cols chunk.m2 pos
 
-let w_partial ~samples_done chunk b =
-  let layout = chunk.layout in
+let w_partial layout ~samples_done chunk b =
   Codec.w_int b samples_done;
-  Codec.w_string b chunk.first_name;
-  Codec.w_string b chunk.first_corner;
+  Codec.w_string b layout.name;
+  Codec.w_string b layout.corner;
   Codec.w_int b (Array.length layout.proto_cells);
   Array.iteri
     (fun ci (c : Cell.t) ->
@@ -358,7 +319,7 @@ let w_partial ~samples_done chunk b =
       done)
     layout.proto_cells
 
-let r_partial ~proto ~samples_done r =
+let r_partial layout ~samples_done r =
   let stored = Codec.r_int r in
   if stored <> samples_done then
     raise
@@ -367,14 +328,10 @@ let r_partial ~proto ~samples_done r =
             samples_done));
   let first_name = Codec.r_string r in
   let first_corner = Codec.r_string r in
-  if first_name <> Library.name proto || first_corner <> Library.corner proto then
+  if first_name <> layout.name || first_corner <> layout.corner then
     raise (Codec.Corrupt "statlib partial: proto library mismatch");
-  let layout = layout_of_library proto in
   let chunk =
     {
-      first_name;
-      first_corner;
-      layout;
       count = samples_done;
       mean = Array.make layout.total 0.0;
       m2 = Array.make layout.total 0.0;
@@ -410,8 +367,7 @@ let c_resumed_samples = Obs.Counter.make "journal.resumed_samples"
    partial still decodes, with the number of blocks it covers; a
    corrupt or missing partial falls back to an older checkpoint, and
    none to a cold start. *)
-let restore ~ckpt ~id ~n ~nchunks gen =
-  let proto = lazy (gen 0) in
+let restore ~ckpt ~id ~n ~nchunks layout =
   let rec try_checkpoint = function
     | [] -> (None, 0)
     | (blocks, samples_done) :: older ->
@@ -420,7 +376,7 @@ let restore ~ckpt ~id ~n ~nchunks gen =
       else (
         match
           Store.load ckpt.Journal.state (checkpoint_key ~id ~blocks)
-            (r_partial ~proto:(Lazy.force proto) ~samples_done)
+            (r_partial layout ~samples_done)
         with
         | Some chunk ->
           Obs.Counter.add c_resumed_samples samples_done;
@@ -429,10 +385,13 @@ let restore ~ckpt ~id ~n ~nchunks gen =
   in
   try_checkpoint (Journal.checkpoints_for ckpt ~statlib:id)
 
-(* The streaming merge: [gen 0 .. gen (n-1)] in fixed [merge_chunk]
-   sample blocks, each accumulated on a pool worker, the partials
-   merged strictly left to right.  Without [ckpt] every block is one
-   round.  With [ckpt = (ctx, id)] the merge starts from {!restore},
+(* The streaming merge: samples [0, n) in fixed [merge_chunk] blocks,
+   each accumulated on a pool worker through [fill], the partials
+   merged strictly left to right, the result rebuilt on the structure
+   of [proto] (forced once, inside the span).  [fill index buf] writes sample [index]'s surfaces in
+   [proto]'s layout order into [buf] (length [layout.total]) and must
+   be safe to call from worker domains.  Without [ckpt] every block is
+   one round.  With [ckpt = (ctx, id)] the merge starts from {!restore},
    runs in rounds of [max every_blocks jobs] blocks, journals each
    block, and between rounds saves the running partial to the run's
    state store and journals a [Checkpoint]; a pending stop request is
@@ -440,17 +399,19 @@ let restore ~ckpt ~id ~n ~nchunks gen =
    [Journal.Interrupted].  Rounds only cut the same fold into pieces,
    so the result is bit-identical at any pool size and any checkpoint
    cadence. *)
-let merge_blocks ?ckpt ~pool ~n gen =
+let merge_blocks ?ckpt ~pool ~n ~proto fill =
   if n <= 0 then invalid_arg "Statistical.of_stream: n must be positive";
   Obs.span "statlib.build"
     ~attrs:(fun () -> [ ("samples", string_of_int n) ])
     (fun () ->
+      let layout = layout_of_library (Lazy.force proto) in
+      let fill = fill layout in
       let nchunks = (n + merge_chunk - 1) / merge_chunk in
       let acc, start, round =
         match ckpt with
         | None -> (None, 0, nchunks)
         | Some (ctx, id) ->
-          let acc, start = restore ~ckpt:ctx ~id ~n ~nchunks gen in
+          let acc, start = restore ~ckpt:ctx ~id ~n ~nchunks layout in
           (acc, start, max ctx.Journal.every_blocks (Pool.jobs pool))
       in
       let acc = ref acc and done_blocks = ref start in
@@ -463,7 +424,7 @@ let merge_blocks ?ckpt ~pool ~n gen =
           Pool.map_chunked pool
             (fun c ->
               let lo = c * merge_chunk in
-              accumulate_chunk gen ~lo ~hi:(min n (lo + merge_chunk)))
+              accumulate_chunk layout fill ~lo ~hi:(min n (lo + merge_chunk)))
             idxs
         in
         Obs.span "statlib.merge"
@@ -485,7 +446,8 @@ let merge_blocks ?ckpt ~pool ~n gen =
             if upto < nchunks then begin
               let samples_done = min n (upto * merge_chunk) in
               let key = checkpoint_key ~id ~blocks:upto in
-              Store.save ctx.Journal.state key (w_partial ~samples_done (Option.get !acc));
+              Store.save ctx.Journal.state key
+                (w_partial layout ~samples_done (Option.get !acc));
               Journal.record ctx
                 (Journal.Checkpoint
                    { statlib = id; blocks = upto; samples_done; key = Store.Key.id key });
@@ -497,11 +459,15 @@ let merge_blocks ?ckpt ~pool ~n gen =
             end)
           ckpt
       done;
-      finish_library (Option.get !acc))
+      finish_library layout (Option.get !acc))
 
+(* Sample 0 is the proto: it is generated once, and its layout checks
+   every other sample through [flatten_into]. *)
 let of_stream ?pool ~n gen =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  merge_blocks ~pool ~n gen
+  let proto = lazy (gen 0) in
+  merge_blocks ~pool ~n ~proto (fun layout index buf ->
+      flatten_into layout (if index = 0 then Lazy.force proto else gen index) buf)
 
 let of_libraries = function
   | [] -> invalid_arg "Statistical.of_libraries: empty list"
@@ -509,20 +475,34 @@ let of_libraries = function
     let arr = Array.of_list libs in
     of_stream ~n:(Array.length arr) (fun i -> arr.(i))
 
+(* Samples are characterised straight into the chunk's scratch array:
+   no sample library is built.  The proto is the skeleton every sample
+   shares, with nominal tables; its layout is the order
+   [Sampler.sample_surfaces] writes in, and a sample that writes any
+   other number of entries is refused. *)
 let build ?pool ?store ?ckpt config ~mismatch ~seed ~n ?specs () =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let gen index =
-    Vartune_charlib.Sampler.sample_library config ~mismatch ~seed ~index ?specs ()
+  let specs = Option.value specs ~default:Vartune_stdcell.Catalog.specs in
+  let fill _layout index buf =
+    let written = Sampler.sample_surfaces config ~mismatch ~seed ~index ~specs buf in
+    if written <> Array.length buf then
+      invalid_arg
+        (Printf.sprintf "Statistical.build: sample %d wrote %d entries, layout has %d" index
+           written (Array.length buf))
   in
-  let key = store_key config ~mismatch ~seed ~n ?specs () in
+  let key = store_key config ~mismatch ~seed ~n ~specs () in
   let id = Store.Key.id key in
-  let specs_used = Option.value specs ~default:Vartune_stdcell.Catalog.specs in
   fst
     (Journal.fetch ~kind:Characterize.library_kind ?store ckpt key
-       (Characterize.decode_library ~what:"statistical" ~specs:specs_used)
+       (Characterize.decode_library ~what:"statistical" ~specs)
        (fun lib b -> Codec.w_library b lib)
        ~step:(fun _ -> Journal.Statlib_built { key = id })
-       (fun () -> merge_blocks ?ckpt:(Option.map (fun c -> (c, id)) ckpt) ~pool ~n gen))
+       (fun () ->
+         merge_blocks
+           ?ckpt:(Option.map (fun c -> (c, id)) ckpt)
+           ~pool ~n
+           ~proto:(lazy (Sampler.proto config ~specs ()))
+           fill))
 
 let is_statistical lib =
   List.for_all

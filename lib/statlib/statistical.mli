@@ -24,8 +24,12 @@ val of_stream :
     [n], so the result is bit-for-bit identical at any pool size —
     including the serial jobs = 1 fallback.  Equivalent (within the
     accumulation scheme) to [of_libraries (List.init n gen)]; [gen] must
-    be safe to call from worker domains.  No more than one block of
-    sample libraries per worker is live at a time. *)
+    be safe to call from worker domains.  [gen 0] is called once, on the
+    calling domain: sample 0 is the proto whose structure every other
+    sample must match (cell count, cell order, arc count, arc order and
+    table axes, each refused with its own [Invalid_argument] message).
+    Besides sample 0, no more than one sample library per worker is
+    live at a time. *)
 
 val build :
   ?pool:Vartune_util.Pool.t ->
@@ -38,9 +42,13 @@ val build :
   ?specs:Vartune_stdcell.Spec.t list ->
   unit ->
   Vartune_liberty.Library.t
-(** Characterise-and-merge convenience: N mismatch samples of the catalog
+(** Characterise-and-merge: N mismatch samples of the catalog
     characterised across the pool's domains and merged into one
-    statistical library.  Deterministic in [(seed, n)] regardless of the
+    statistical library.  Each sample is characterised straight into
+    its block's flat Welford scratch ({!Vartune_charlib.Sampler.sample_surfaces});
+    no sample library is built.  The result is bit-identical to
+    [of_stream ~n (fun index -> Sampler.sample_library ... ~index ())].
+    Deterministic in [(seed, n)] regardless of the
     pool size, because each sample index draws from its own
     {!Vartune_util.Rng.stream}-derived generator.  With [store], the
     merged library is fetched from / saved to the persistent artifact

@@ -160,6 +160,130 @@ let test_lut_values_match_model () =
   in
   check_float "table entry = model" expected (Lut.get arc.Arc.rise_delay 3 5)
 
+(* The formula oracle.  [model_delay] and [model_transition] are the
+   model of delay_model.mli written out again, sharing no code with
+   Delay_model, in the association order of its formula.  Every entry
+   of every catalog cell's four timing tables, under three mismatch
+   samples per cell, must equal them bit for bit — in the library
+   [Characterize.library] builds, in the flat surfaces
+   [Characterize.surfaces] writes, and through the scalar
+   [Delay_model.delay]/[transition] at the same operating point. *)
+let out_factor (spec : Spec.t) ~output ~rise =
+  Option.value (List.assoc_opt output spec.output_factors) ~default:1.0
+  *. if rise then 1.0 +. spec.rise_skew else 1.0 -. spec.rise_skew
+
+let model_delay (p : Delay_model.params) (spec : Spec.t) ~drive ~output ~rise ~cf
+    ~(s : Mismatch.sample) ~slew ~load =
+  let r0 = p.r_unit /. float_of_int drive in
+  cf
+  *. ((out_factor spec ~output ~rise
+       *. ((p.tau *. spec.parasitic *. (1.0 +. s.d_intrinsic))
+          +. (r0 *. (1.0 +. s.d_resistance) *. load)))
+     +. (p.k_slew *. slew *. (1.0 +. (p.vt_slew_gain *. s.d_intrinsic))))
+
+let model_transition (p : Delay_model.params) (spec : Spec.t) ~drive ~output ~rise ~cf
+    ~(s : Mismatch.sample) ~slew ~load =
+  let r = p.r_unit /. float_of_int drive *. (1.0 +. s.d_resistance) in
+  let cap = p.self_load *. Spec.c_unit *. float_of_int drive in
+  (cf *. out_factor spec ~output ~rise *. (p.t_slew_base +. (p.k_trans *. r *. (load +. cap))))
+  +. (p.k_trans_slew *. slew)
+
+(* Three samples per cell: none, and two seeded draws. *)
+let oracle_samples =
+  [
+    (fun (_ : Spec.t) ~drive:_ -> zero);
+    (fun (spec : Spec.t) ~drive ->
+      Mismatch.draw Mismatch.default
+        (Vartune_util.Rng.create (Hashtbl.hash (1, spec.family, drive)))
+        ~drive ());
+    (fun (spec : Spec.t) ~drive ->
+      Mismatch.draw Mismatch.default
+        (Vartune_util.Rng.create (Hashtbl.hash (2, spec.family, drive)))
+        ~drive ());
+  ]
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_tables_match_transcribed_model () =
+  let config = Characterize.default_config in
+  let cf = Corner.delay_factor config.Characterize.corner in
+  List.iteri
+    (fun k sample_for ->
+      let lib = Characterize.library config ~sample_for Catalog.specs in
+      let total =
+        List.fold_left
+          (fun acc (a : Arc.t) ->
+            let rows, cols = Lut.dims a.Arc.rise_delay in
+            acc + (4 * rows * cols))
+          0
+          (List.concat_map Cell.arcs (Library.cells lib))
+      in
+      let flat = Array.make total nan in
+      let written = Characterize.surfaces config ~name:"oracle" ~sample_for Catalog.specs flat in
+      let pos = ref 0 in
+      List.iter
+        (fun (cell : Cell.t) ->
+          let spec = Option.get (Catalog.find cell.Cell.family) in
+          let drive = cell.Cell.drive_strength in
+          let s = sample_for spec ~drive in
+          List.iter
+            (fun (pin : Pin.t) ->
+              let output = pin.Pin.name in
+              List.iter
+                (fun (arc : Arc.t) ->
+                  List.iter
+                    (fun (what, lut, rise, model) ->
+                      let slews = Lut.slews lut and loads = Lut.loads lut in
+                      Array.iteri
+                        (fun i slew ->
+                          Array.iteri
+                            (fun j load ->
+                              let expected = model ~rise ~slew ~load in
+                              let check where got =
+                                if not (bits_equal expected got) then
+                                  Alcotest.failf "sample %d %s %s->%s %s (%d,%d) %s: %h, model %h" k
+                                    cell.Cell.name arc.Arc.related_pin output what i j where got
+                                    expected
+                              in
+                              check "library" (Lut.get lut i j);
+                              check "surfaces" flat.(!pos);
+                              incr pos;
+                              let scalar =
+                                if String.ends_with ~suffix:"delay" what then Delay_model.delay
+                                else Delay_model.transition
+                              in
+                              check "scalar"
+                                (scalar params spec ~drive ~output
+                                   ~edge:(if rise then Delay_model.Rise else Delay_model.Fall)
+                                   ~corner_factor:cf ~sample:s ~slew ~load))
+                            loads)
+                        slews)
+                    [
+                      ("rise_delay", arc.Arc.rise_delay, true, model_delay params spec ~drive ~output ~cf ~s);
+                      ("fall_delay", arc.Arc.fall_delay, false, model_delay params spec ~drive ~output ~cf ~s);
+                      ( "rise_transition",
+                        arc.Arc.rise_transition,
+                        true,
+                        model_transition params spec ~drive ~output ~cf ~s );
+                      ( "fall_transition",
+                        arc.Arc.fall_transition,
+                        false,
+                        model_transition params spec ~drive ~output ~cf ~s );
+                    ])
+                pin.Pin.arcs)
+            (Cell.output_pins cell))
+        (Library.cells lib);
+      Alcotest.(check int) (Printf.sprintf "sample %d: entries written" k) !pos written)
+    oracle_samples
+
+let test_surfaces_reject_short_buffer () =
+  Alcotest.check_raises "short destination"
+    (Invalid_argument "Delay_model.fill_arc: surfaces do not fit the destination") (fun () ->
+      ignore
+        (Characterize.surfaces Characterize.default_config ~name:"short"
+           ~sample_for:(fun _ ~drive:_ -> zero)
+           Helpers.small_specs (Array.make 100 0.0)))
+
 (* ----------------------------- Sampler ------------------------------ *)
 
 let specs = Helpers.small_specs
@@ -177,19 +301,6 @@ let test_sampler_index_sensitivity () =
   let b = Sampler.sample_library config ~mismatch:Mismatch.default ~seed:9 ~index:1 ~specs () in
   let lut lib = (List.hd (Cell.arcs (Library.find lib "INV_1"))).Arc.rise_delay in
   Alcotest.(check bool) "different" false (Lut.equal (lut a) (lut b))
-
-let test_fold_matches_list () =
-  let config = Characterize.default_config in
-  let inv_only = List.filter_map Catalog.find [ "INV" ] in
-  let names_from_fold =
-    Sampler.fold_samples config ~mismatch:Mismatch.default ~seed:2 ~n:3 ~specs:inv_only
-      ~init:[] ~f:(fun acc lib -> Library.name lib :: acc) ()
-  in
-  let names_from_list =
-    List.map Library.name
-      (Sampler.sample_libraries config ~mismatch:Mismatch.default ~seed:2 ~n:3 ~specs:inv_only ())
-  in
-  Alcotest.(check (list string)) "same stream" names_from_list (List.rev names_from_fold)
 
 let () =
   Alcotest.run "charlib"
@@ -215,11 +326,14 @@ let () =
           Alcotest.test_case "load axis scaling" `Quick test_load_axis_scales_with_drive;
           Alcotest.test_case "power tables" `Quick test_characterize_power;
           Alcotest.test_case "table matches model" `Quick test_lut_values_match_model;
+          Alcotest.test_case "tables = transcribed model" `Quick
+            test_tables_match_transcribed_model;
+          Alcotest.test_case "surfaces reject short buffer" `Quick
+            test_surfaces_reject_short_buffer;
         ] );
       ( "sampler",
         [
           Alcotest.test_case "deterministic" `Quick test_sampler_deterministic;
           Alcotest.test_case "index sensitivity" `Quick test_sampler_index_sensitivity;
-          Alcotest.test_case "fold matches list" `Quick test_fold_matches_list;
         ] );
     ]

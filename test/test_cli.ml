@@ -95,6 +95,29 @@ let test_data_error () =
   write_file bad "this is not a liberty file {";
   check_exit "unparsable library exits 65" 65 (vartune [ "parse"; bad ])
 
+(* A sample count below one is a data error naming the flag, before
+   any work starts (it used to escape as Invalid_argument, exit 125). *)
+let test_non_positive_counts () =
+  let log = in_temp "counts.log" in
+  List.iter
+    (fun (label, flag, args) ->
+      check_exit (label ^ " exits 65") 65 (vartune ~capture:log args);
+      let out = read_file log in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s: %S" label flag out)
+        true
+        (Helpers.contains out flag && not (Helpers.contains out "exception")))
+    [
+      ("statlib -n 0", "--samples", [ "statlib"; "-n"; "0"; "--no-store" ]);
+      ("statlib --samples=-3", "--samples", [ "statlib"; "--samples=-3"; "--no-store" ]);
+      ( "experiment --mc-samples 0",
+        "--mc-samples",
+        [ "experiment"; "-n"; "2"; "--mc-samples"; "0"; "--period"; "5"; "--no-store" ] );
+      ( "experiment --mc-samples=-1",
+        "--mc-samples",
+        [ "experiment"; "-n"; "2"; "--mc-samples=-1"; "--period"; "5"; "--no-store" ] );
+    ]
+
 let test_corrupt_library_data_error () =
   List.iteri
     (fun i (label, src, _) ->
@@ -434,6 +457,7 @@ let () =
         [
           Alcotest.test_case "usage errors (64)" `Quick test_usage_errors;
           Alcotest.test_case "data error (65)" `Quick test_data_error;
+          Alcotest.test_case "non-positive sample counts (65)" `Quick test_non_positive_counts;
           Alcotest.test_case "corrupt library contents (65)" `Quick
             test_corrupt_library_data_error;
           Alcotest.test_case "full stdout (74)" `Quick test_io_error_full_stdout;

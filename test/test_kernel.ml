@@ -97,6 +97,22 @@ let test_golden_catalog () =
   check_of_stream ~label:"catalog" ~n (Array.get libs) golden_catalog;
   check_of_libraries ~label:"catalog" (Array.to_list libs) golden_catalog
 
+(* The paper's library: the full catalog built by [Statistical.build]
+   at N = 50, seed 42, on the default pool.  Both digests were recorded
+   when every sample was still characterised as a library and merged
+   through [flatten_into]; [printed] covers the whole printed library
+   (names, areas, pins, internal power) beyond the table bits. *)
+let golden_paper = "162509b06dda4c86cc3ee96983097c27"
+let golden_paper_printed = "3483583d83adeb43bf38a5818d894b31"
+
+let test_golden_paper_library () =
+  let lib =
+    Statistical.build Characterize.default_config ~mismatch:Mismatch.default ~seed:42 ~n:50 ()
+  in
+  Alcotest.(check string) "table bits" golden_paper (Helpers.library_digest lib);
+  Alcotest.(check string) "printed library" golden_paper_printed
+    (Digest.to_hex (Digest.string (Vartune_liberty.Printer.to_string lib)))
+
 (* ------------------------------------------------------------------ *)
 (* Bilinear kernel vs an independent naive evaluator                   *)
 (* ------------------------------------------------------------------ *)
@@ -265,6 +281,7 @@ let () =
           Alcotest.test_case "golden digest INV n=9 jobs 1/2/7" `Quick (test_golden_inv 9);
           Alcotest.test_case "of_libraries agrees" `Quick test_of_libraries_golden;
           Alcotest.test_case "golden digest catalog N=16" `Quick test_golden_catalog;
+          Alcotest.test_case "golden paper library N=50" `Quick test_golden_paper_library;
         ] );
       ( "bilinear",
         [

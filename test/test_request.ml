@@ -223,6 +223,52 @@ let test_malformed () =
     Alcotest.(check bool) "message names the version" true (contains ~needle:"99" msg)
   | _ -> Alcotest.fail "version 99 not rejected as unsupported"
 
+(* Every kind that carries a sample count, with [samples] (and, for a
+   sweep, [mc_samples]) set to a non-positive value: the line decodes
+   to [Malformed] naming the field — which the daemon answers with code
+   65 — and never raises. *)
+let non_positive_counts =
+  let open QCheck2.Gen in
+  let count = oneof [ int_range (-1_000_000) 0; oneofl [ 0; -1; min_int ] ] in
+  let valid_base = { Request.seed = 1; samples = 2 } in
+  let tuning =
+    { Tuning_method.population = Cluster.Per_cell; criterion = Threshold.Sigma_ceiling 0.02 }
+  in
+  let req_gen =
+    map
+      (fun (pick, n) ->
+        let base = { valid_base with samples = n } in
+        let sweep ~base ~mc =
+          Request.Sweep
+            { base; tuning; period = None; parameters = [ 0.01 ];
+              mc_samples = mc }
+        in
+        match pick mod 6 with
+        | 0 -> (Request.Statlib base, "samples")
+        | 1 -> (Request.Min_period base, "samples")
+        | 2 -> (Request.Tune { base; tuning }, "samples")
+        | 3 -> (sweep ~base ~mc:None, "samples")
+        | 4 -> (sweep ~base:valid_base ~mc:(Some n), "mc_samples")
+        | _ ->
+          ( Request.Design_sigma
+              { base; period = None; tuning = None; timing_report = false; power = false;
+                verilog = false },
+            "samples" ))
+      (pair (int_range 0 5) count)
+  in
+  qtest "non-positive sample counts are malformed, naming the field" req_gen
+    (fun (req, field) ->
+      let line = Request.to_line req in
+      match Request.of_line line with
+      | Error (Request.Malformed msg) ->
+        contains ~needle:(Printf.sprintf "%S" field) msg
+        || QCheck2.Test.fail_reportf "%S: message %S does not name %s" line msg field
+      | Error (Request.Unsupported_version _) ->
+        QCheck2.Test.fail_reportf "%S rejected as a version problem" line
+      | Ok _ -> QCheck2.Test.fail_reportf "%S accepted" line
+      | exception exn ->
+        QCheck2.Test.fail_reportf "%S raised %s" line (Printexc.to_string exn))
+
 (* ------------------------------------------------------------------ *)
 (* Response round-trips                                                *)
 (* ------------------------------------------------------------------ *)
@@ -275,6 +321,7 @@ let () =
           encoding_canonical;
           version_rejected;
           Alcotest.test_case "malformed lines diagnosed" `Quick test_malformed;
+          non_positive_counts;
           Alcotest.test_case "envelope bytes pinned" `Quick test_envelope_bytes;
           Alcotest.test_case "default priorities by kind" `Quick test_default_priorities;
           response_round_trip;

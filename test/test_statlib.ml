@@ -203,6 +203,64 @@ let test_build_jobs_invariant =
         (fun jobs -> Helpers.library_digest serial = Helpers.library_digest (with_jobs jobs build))
         [ 2; 7 ])
 
+(* The build oracle: [build] characterises each sample straight into
+   the flat layout, [of_stream] merges sample libraries built by
+   [Sampler.sample_library]; both must give the same library, bit for
+   bit in every mean and sigma entry and byte for byte in print (names,
+   areas, pins, power tables). *)
+let with_jobs jobs f =
+  let pool = Vartune_util.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Vartune_util.Pool.shutdown pool) (fun () -> f pool)
+
+let check_build_equals_stream ~seed ~n ~specs ~jobs =
+  with_jobs jobs (fun pool ->
+      let built = Statistical.build ~pool config ~mismatch ~seed ~n ~specs () in
+      let streamed =
+        Statistical.of_stream ~pool ~n (fun index ->
+            Sampler.sample_library config ~mismatch ~seed ~index ~specs ())
+      in
+      Helpers.library_digest built = Helpers.library_digest streamed
+      && Vartune_liberty.Printer.to_string built = Vartune_liberty.Printer.to_string streamed)
+
+let test_build_equals_stream_catalog () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "catalog n=8 jobs=%d" jobs)
+        true
+        (check_build_equals_stream ~seed:42 ~n:8 ~specs:Catalog.specs ~jobs))
+    [ 1; 2; 7 ]
+
+let test_build_equals_stream_inv () =
+  Alcotest.(check bool) "INV n=40" true
+    (check_build_equals_stream ~seed:3 ~n:40 ~specs:inv_only ~jobs:2)
+
+(* Random seed, N in 1..12, a random subset of the catalog (in catalog
+   order) and jobs 1 or 2.  4 cases in tier-1, 400 under QCHECK_LONG. *)
+let test_build_equals_stream_random =
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 0 1_000_000) (int_range 1 12)
+        (list_size (int_range 1 6) (oneofl Catalog.specs))
+        (oneofl [ 1; 2 ]))
+  in
+  let subset picked =
+    List.filter
+      (fun (s : Vartune_stdcell.Spec.t) ->
+        List.exists (fun (p : Vartune_stdcell.Spec.t) -> p.family = s.family) picked)
+      Catalog.specs
+  in
+  let families picked =
+    String.concat "," (List.map (fun (s : Vartune_stdcell.Spec.t) -> s.family) (subset picked))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:4 ~long_factor:100
+       ~print:(fun (seed, n, picked, jobs) ->
+         Printf.sprintf "seed %d, n %d, jobs %d, families %s" seed n jobs (families picked))
+       ~name:"build = of_stream (random)" gen
+       (fun (seed, n, picked, jobs) ->
+         check_build_equals_stream ~seed ~n ~specs:(subset picked) ~jobs))
+
 let test_metadata_preserved () =
   let merged = Statistical.of_stream ~n:3 sample in
   let cell = Library.find merged "INV_8" in
@@ -224,5 +282,12 @@ let () =
           Alcotest.test_case "mean near nominal" `Slow test_mean_close_to_nominal;
           Alcotest.test_case "metadata preserved" `Quick test_metadata_preserved;
           test_build_jobs_invariant;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "build = of_stream (catalog, n=8)" `Quick
+            test_build_equals_stream_catalog;
+          Alcotest.test_case "build = of_stream (INV, n=40)" `Quick test_build_equals_stream_inv;
+          test_build_equals_stream_random;
         ] );
     ]
