@@ -39,8 +39,6 @@ val default : params
 
 type edge = Rise | Fall
 
-val drive_resistance : params -> drive:int -> float
-
 val stage_count : Vartune_stdcell.Spec.t -> int
 (** Inversion stages of a cell family; complex multi-stage cells average
     independent per-stage mismatch, lowering their relative sigma. *)

@@ -21,10 +21,6 @@ val paper_defaults : defaults
 (** Table 2: load 1.0, slew 0.06 (the sigma-ceiling default of 100 means
     "no ceiling" and needs no representation here). *)
 
-val slope_masks :
-  Vartune_liberty.Lut.t -> load_bound:float -> slew_bound:float -> Binary_lut.t
-(** The conjoined binary mask of both slope tables. *)
-
 val extract_slope_threshold :
   Vartune_liberty.Lut.t -> load_bound:float -> slew_bound:float -> float option
 (** Largest-rectangle threshold extraction on the conjoined mask; [None]

@@ -94,6 +94,17 @@ val extension_yield : Experiment.setup -> unit
 (** Beyond the paper: parametric timing yield vs clock period for the
     baseline and tuned designs — the quantity the guard band protects. *)
 
+val guard_band : float
+(** The clock uncertainty (ns) every timing run subtracts from the
+    clock period: {!Vartune_sta.Timing.default_config}'s. *)
+
+val clock_for_yield :
+  Vartune_stats.Dist.t list -> target:float -> period:float -> float
+(** The clock (ns, rounded up to 1 ps) at which the paths' parametric
+    yield, evaluated at the clock minus {!guard_band}, reaches [target];
+    the effective period is searched in [\[period / 2, 2 period\]].
+    This is the clock {!extension_yield} prints. *)
+
 val extension_hold : Experiment.setup -> unit
 (** Beyond the paper: hold (min-delay) checks are unaffected by the
     restriction, since tuning only forbids slow operating points. *)

@@ -57,7 +57,8 @@ let build_statlib ?store ?ckpt { Request.seed; samples } =
    same bytes".  Lines go through [emit] (without trailing newline) as
    they happen and accumulate — with trailing newlines — into
    [evaled.out], which is exactly what the equivalent CLI subcommand
-   prints to stdout. *)
+   prints to stdout.  A printed library is the reply's [out] itself,
+   never copied through that buffer. *)
 let eval ?store ?ckpt ?(emit = ignore) req =
   let buf = Buffer.create 512 in
   let line l =
@@ -67,8 +68,9 @@ let eval ?store ?ckpt ?(emit = ignore) req =
   in
   let raw s = Buffer.add_string buf s in
   let check_stop () = Option.iter Journal.check_stop ckpt in
-  let done_ ?library ?(artifacts = []) ?(recipes = []) ?(meta = []) () =
-    { out = Buffer.contents buf; library; artifacts; recipes; meta }
+  let done_ ?out ?library ?(artifacts = []) ?(recipes = []) ?(meta = []) () =
+    let out = match out with Some s -> s | None -> Buffer.contents buf in
+    { out; library; artifacts; recipes; meta }
   in
   let cells lib = [ ("cells", string_of_int (Library.size lib)) ] in
   match req with
@@ -84,12 +86,11 @@ let eval ?store ?ckpt ?(emit = ignore) req =
     done_ ~library:lib ~meta:(cells lib) ()
   | Request.Characterize ->
     let lib = Characterize.nominal ?store Characterize.default_config in
-    raw (Printer.to_string lib);
-    done_ ~library:lib ~meta:(cells lib) ()
+    done_ ~out:(Printer.to_string lib) ~library:lib ~meta:(cells lib) ()
   | Request.Statlib base ->
     let lib = build_statlib ?store ?ckpt base in
-    raw (Printer.to_string lib);
-    done_ ~library:lib ~recipes:[ statlib_recipe base ] ~meta:(cells lib) ()
+    done_ ~out:(Printer.to_string lib) ~library:lib ~recipes:[ statlib_recipe base ]
+      ~meta:(cells lib) ()
   | Request.Tune { base; tuning } ->
     let lib = build_statlib ?store ?ckpt base in
     let table = Tuning_method.restrictions tuning lib in

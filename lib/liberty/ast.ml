@@ -21,7 +21,6 @@ let attr_float g name =
   | Some (String s) | Some (Ident s) -> float_of_string_opt s
   | None -> None
 
-let attr_int g name = Option.map int_of_float (attr_float g name)
 let complex_values g name = List.assoc_opt name g.complex
 let child_groups g name = List.filter (fun c -> c.gname = name) g.groups
 

@@ -22,8 +22,6 @@ val attr_string : group -> string -> string option
 
 val attr_float : group -> string -> float option
 
-val attr_int : group -> string -> int option
-
 val complex_values : group -> string -> value list option
 (** First complex attribute with the given name. *)
 

@@ -178,8 +178,9 @@ let cell_of_group g =
   Cell.make ~name
     ~family:(required_string g "family")
     ~drive_strength:
-      (match Ast.attr_int g "drive_strength" with
-      | Some d -> d
+      (match Ast.attr_float g "drive_strength" with
+      | Some d when Float.of_int (Float.to_int d) = d -> Float.to_int d
+      | Some d -> fail "cell %s: drive_strength %g is not an integer" name d
       | None -> fail "cell %s: missing drive_strength" name)
     ~kind
     ~area:(required_float g "area")

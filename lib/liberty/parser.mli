@@ -9,14 +9,13 @@ val parse_group : string -> Ast.group
 (** Parses a document into its top-level group.  Raises {!Error} or
     {!Lexer.Error}. *)
 
-val library_of_ast : Ast.group -> Library.t
-(** Semantic elaboration of a [library(...) { ... }] group.
-    Raises {!Error}, naming the group, on missing or ill-typed fields
-    and on contents no library can hold: a non-increasing axis, a
-    ragged table, a duplicate cell, a malformed number. *)
-
 val parse : string -> Library.t
-(** [parse src = library_of_ast (parse_group src)]. *)
+(** Parses a document and elaborates its [library(...) { ... }] group.
+    Raises {!Lexer.Error} on malformed tokens and {!Error} on bad
+    syntax; elaboration raises {!Error}, naming the group, on missing or
+    ill-typed fields and on contents no library can hold: a
+    non-increasing axis, a ragged table, a duplicate cell, a malformed
+    number. *)
 
 val parse_file : string -> Library.t
 (** Reads and parses a file. *)

@@ -1,4 +1,4 @@
-(* Appends the whole library to one Buffer with explicit indentation.
+(* Renders the library into Buffers with explicit indentation.
    Floats use the shared round-trip convention (Floatfmt). *)
 let add_float = Vartune_util.Floatfmt.add_buffer
 
@@ -84,16 +84,35 @@ let add_cell b ind (cell : Cell.t) =
   List.iter (add_pin b (ind + 2)) cell.pins;
   line b ind "}"
 
-let render lib =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b (Printf.sprintf "library(%s) {" (Library.name lib));
-  line b 2 (Printf.sprintf "corner : \"%s\";" (Library.corner lib));
-  List.iter (add_cell b 2) (Library.cells lib);
-  line b 0 "}\n";
-  b
-
-let to_string lib = Buffer.contents (render lib)
+(* Pool tasks render contiguous runs of cells, one buffer per cell; the
+   header, the cells in input order and the closing brace are then
+   blitted once into a string of the exact total length.  The bytes are
+   those of a serial render at any job count and run size. *)
+let to_string ?pool lib =
+  let pool = match pool with Some p -> p | None -> Vartune_util.Pool.default () in
+  let head = Buffer.create 256 in
+  Buffer.add_string head (Printf.sprintf "library(%s) {" (Library.name lib));
+  line head 2 (Printf.sprintf "corner : \"%s\";" (Library.corner lib));
+  let bodies =
+    Vartune_util.Pool.map_chunked pool
+      (fun cell ->
+        let b = Buffer.create 32768 in
+        add_cell b 2 cell;
+        b)
+      (Library.cells lib)
+  in
+  let tail = Buffer.create 4 in
+  line tail 0 "}\n";
+  let parts = (head :: bodies) @ [ tail ] in
+  let out = Bytes.create (List.fold_left (fun n b -> n + Buffer.length b) 0 parts) in
+  ignore
+    (List.fold_left
+       (fun pos b ->
+         Buffer.blit b 0 out pos (Buffer.length b);
+         pos + Buffer.length b)
+       0 parts);
+  Bytes.unsafe_to_string out
 
 let write_file path lib =
-  let b = render lib in
-  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b)
+  let text = to_string lib in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)

@@ -60,11 +60,10 @@ type t = {
 val of_events : Obs.event list -> t
 (** Aggregates a span list (any order; it is re-sorted). *)
 
-val of_json : Json.t -> (t, string) result
-(** Aggregates a parsed Chrome trace (as written by {!Obs.trace_json});
+val of_trace_string : string -> (t, string) result
+(** Aggregates a Chrome trace (as written by {!Obs.trace_json});
     [Error] when the document has no complete span events. *)
 
-val of_trace_string : string -> (t, string) result
 val of_trace_file : string -> (t, string) result
 
 val to_text : t -> string

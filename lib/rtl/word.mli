@@ -47,7 +47,6 @@ val barrel_shift_left : Ir.t -> word -> amount:word -> word
 val barrel_shift_right : Ir.t -> word -> amount:word -> word
 
 val equal : Ir.t -> word -> word -> Ir.node_id
-val is_zero : Ir.t -> word -> Ir.node_id
 val less_than : Ir.t -> word -> word -> Ir.node_id
 (** Unsigned [a < b]. *)
 

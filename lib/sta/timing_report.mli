@@ -4,11 +4,6 @@
     paper's Fig 14 reasons about, plus a summary line with worst slack,
     total negative slack and the hold check. *)
 
-val path_report : Path.t -> string
-(** One path as an indented table: per-cell increment, cumulative
-    arrival, input slew and output load, then the arrival/required/slack
-    footer. *)
-
 val report : ?max_paths:int -> Timing.t -> Vartune_netlist.Netlist.t -> string
 (** The [max_paths] (default 5) worst endpoint paths plus the summary. *)
 

@@ -61,7 +61,6 @@ val r_float : reader -> float
 val w_string : Buffer.t -> string -> unit
 val r_string : reader -> string
 
-val w_float_array : Buffer.t -> float array -> unit
 val r_float_array : reader -> float array
 
 (** {1 Artifact codecs} *)

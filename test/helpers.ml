@@ -170,19 +170,20 @@ let nominal_small = lazy (Characterize.library Characterize.default_config small
 (* Liberty text the grammar accepts but no library can hold, as
    [(label, source, group the parse error must name)]: a
    non-increasing index_1, a ragged values row, two cells with one
-   name, a table number that does not parse.  Only the cell_rise
+   name, a table number that does not parse, a drive strength that is
+   not an integer.  Only the cell_rise
    table carries a table defect; [well_formed_library] has none. *)
-let liberty_source ?index_1 ?values cells =
+let liberty_source ?index_1 ?values ?(drive = "1") cells =
   let table ?(index_1 = "0.1, 0.2") ?(values = {|"1, 2", "3, 4"|}) name =
     Printf.sprintf {|%s() { index_1("%s"); index_2("0.1, 0.2"); values(%s); }|} name index_1
       values
   in
   let cell name =
     Printf.sprintf
-      {|cell(%s) { family : "INV"; drive_strength : 1; area : 1;
+      {|cell(%s) { family : "INV"; drive_strength : %s; area : 1;
           pin(A) { direction : input; capacitance : 0.001; }
           pin(Z) { direction : output; timing() { related_pin : "A"; %s %s %s %s } } }|}
-      name
+      name drive
       (table ?index_1 ?values "cell_rise")
       (table "cell_fall") (table "rise_transition") (table "fall_transition")
   in
@@ -196,6 +197,8 @@ let corrupt_libraries =
     ("ragged values row", liberty_source ~values:{|"1, 2", "3"|} [ "INV_1" ], "table cell_rise");
     ("duplicate cell name", liberty_source [ "INV_1"; "INV_1" ], "library l");
     ("malformed number", liberty_source ~index_1:"0.1, 0.2x" [ "INV_1" ], "table cell_rise");
+    ("fractional drive strength", liberty_source ~drive:"2.7" [ "INV_1" ], "cell INV_1");
+    ("drive strength beyond int", liberty_source ~drive:"1e300" [ "INV_1" ], "cell INV_1");
   ]
 
 (* MD5 of every mean and sigma entry's IEEE bits in library order:

@@ -198,6 +198,36 @@ let test_dispatch_counts () =
       Vartune_monte.Path_mc.simulate ~pool { Vartune_monte.Path_mc.default_config with n = 20_000 }
         ~seed:7 path)
 
+(* ext-yield's "clock for 99 % parametric yield": the yield at the
+   printed clock, less the guard band the timing runs subtract, reaches
+   99 % for the baseline and the tuned design. *)
+let test_yield_clock_meets_target () =
+  let module Figures = Vartune_flow.Figures in
+  let module Yield = Vartune_stats.Yield in
+  let setup = Lazy.force tiny_setup in
+  let period = List.assoc "high" setup.Experiment.periods in
+  let tuning =
+    { Vartune_tuning.Tuning_method.population = Vartune_tuning.Cluster.Per_cell;
+      criterion = Vartune_tuning.Threshold.Sigma_ceiling 0.02 }
+  in
+  List.iter
+    (fun (label, (run : Experiment.run)) ->
+      let dists = List.map Vartune_stats.Convolve.of_path run.Experiment.paths in
+      let clock = Figures.clock_for_yield dists ~target:0.99 ~period in
+      let at p = Yield.parametric_yield dists ~period:(p -. Figures.guard_band) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: yield %.4f at the printed clock %.3f ns" label (at clock) clock)
+        true
+        (at clock >= 0.99);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f ns is within 1 ps of the smallest such clock" label clock)
+        true
+        (at (clock -. 0.002) < 0.99))
+    [
+      ("baseline", Experiment.baseline setup ~period);
+      ("tuned", Experiment.tuned setup ~period ~tuning);
+    ]
+
 (* ------------------- failure → exit-code mapping ------------------- *)
 
 (* The CLI's sysexits vocabulary is load-bearing for CI and operators;
@@ -250,6 +280,7 @@ let () =
           Alcotest.test_case "cache scoped to setup" `Slow test_cache_scoped_to_setup;
           Alcotest.test_case "sweep pool invariant" `Slow test_sweep_pool_invariant;
           Alcotest.test_case "dispatch counts at jobs=2" `Slow test_dispatch_counts;
+          Alcotest.test_case "ext-yield clock meets 99 %" `Slow test_yield_clock_meets_target;
         ] );
       ("failures", [ Alcotest.test_case "exit codes" `Quick test_exit_codes ]);
     ]

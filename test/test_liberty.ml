@@ -495,12 +495,27 @@ let golden_libraries =
           ~mismatch:Vartune_process.Mismatch.default ~seed:1 ~n:4 ()));
   ]
 
+let with_jobs jobs f =
+  let pool = Vartune_util.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Vartune_util.Pool.shutdown pool) (fun () -> f pool)
+
+(* The printer renders runs of cells on the pool and joins them in input
+   order: the golden bytes hold at every pool size, whatever run length
+   each implies. *)
 let test_printer_golden_bytes () =
   List.iter
     (fun (name, md5, lib) ->
       let lib = Lazy.force lib in
       let text = Printer.to_string lib in
       Alcotest.(check string) (name ^ " md5") md5 (Digest.to_hex (Digest.string text));
+      List.iter
+        (fun jobs ->
+          with_jobs jobs (fun pool ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s md5 at jobs=%d" name jobs)
+                md5
+                (Digest.to_hex (Digest.string (Printer.to_string ~pool lib)))))
+        [ 1; 2; 3 ];
       let path = Filename.temp_file "vartune_golden" ".lib" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
@@ -509,6 +524,125 @@ let test_printer_golden_bytes () =
           Alcotest.(check bool) (name ^ ": write_file writes the to_string bytes") true
             (In_channel.with_open_bin path In_channel.input_all = text)))
     golden_libraries
+
+(* A statlib reply carries the printed library itself. *)
+let test_statlib_reply_is_printed_library () =
+  let module Request = Vartune_flow.Request in
+  let resp = Vartune_flow.Run_request.exec (Request.Statlib { Request.seed = 1; samples = 4 }) in
+  let _, _, lib = List.nth golden_libraries 1 in
+  Alcotest.(check int) "exit code" 0 resp.Vartune_flow.Response.code;
+  Alcotest.(check bool) "output = Printer.to_string" true
+    (resp.Vartune_flow.Response.output = Printer.to_string (Lazy.force lib))
+
+(* --------------------------- Input boundary -------------------------- *)
+
+(* Random small libraries over every construct the printer emits:
+   sequential and combinational cells, optional clock pin, max
+   capacitance, sigma and power tables, tables from 1x1 to 3x3, and
+   floats of every magnitude and sign. *)
+let gen_library =
+  let open QCheck2.Gen in
+  let finite =
+    oneof
+      [
+        float_range (-10.0) 10.0;
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.5)
+          int64;
+        oneofl [ 0.0; -0.0; 1e-300; 5e-324; 0.1; 1e22 ];
+      ]
+  in
+  let axis =
+    let* k = int_range 1 3 in
+    let* xs = list_repeat k finite in
+    let xs = List.sort_uniq Float.compare (List.map Float.abs xs) in
+    return (Array.of_list xs)
+  in
+  let table slews loads =
+    let+ rows = list_repeat (Array.length slews) (array_repeat (Array.length loads) finite) in
+    Lut.make ~slews ~loads ~values:(Grid.of_arrays (Array.of_list rows))
+  in
+  let arc related_pin =
+    let* slews = axis and* loads = axis in
+    let table = table slews loads in
+    let opt = opt table in
+    let* sense = oneofl [ Arc.Positive_unate; Arc.Negative_unate; Arc.Non_unate ] in
+    let* rise_delay = table and* fall_delay = table in
+    let* rise_transition = table and* fall_transition = table in
+    let* rise_delay_sigma = opt and* fall_delay_sigma = opt and* internal_power = opt in
+    return
+      (Arc.make ~related_pin ~sense ~rise_delay ~fall_delay ~rise_transition ~fall_transition
+         ?rise_delay_sigma ?fall_delay_sigma ?internal_power ())
+  in
+  let cell index =
+    let* inputs = int_range 1 3 in
+    let names = List.init inputs (fun i -> String.make 1 (Char.chr (65 + i))) in
+    let* caps = list_repeat inputs finite in
+    let* kind = oneofl [ Cell.Combinational; Cell.Flip_flop; Cell.Latch ] in
+    let* outputs = int_range 1 2 in
+    let output k =
+      let* arcs = flatten_l (List.map arc (List.filteri (fun i _ -> i < k + 1) names)) in
+      let+ max_capacitance = opt finite in
+      Pin.output ~name:(if k = 0 then "Z" else "ZN") ?max_capacitance ~arcs ()
+    in
+    let* outs = flatten_l (List.init outputs output) in
+    let* family = string_size ~gen:(char_range 'A' 'Z') (int_range 1 4) in
+    let* drive_strength = int_range 1 16 in
+    let* area = finite and* leakage = finite in
+    let* setup_time = finite and* hold_time = finite in
+    let+ clocked = bool in
+    let sequential = kind <> Cell.Combinational in
+    Cell.make
+      ~name:(Printf.sprintf "%s%d_%d" family index drive_strength)
+      ~family ~drive_strength ~kind ~area:(Float.abs area)
+      ~pins:(List.map2 (fun name capacitance -> Pin.input ~name ~capacitance) names caps @ outs)
+      ?setup_time:(if sequential then Some setup_time else None)
+      ?hold_time:(if sequential then Some hold_time else None)
+      ?clock_pin:(if sequential && clocked then Some (List.hd names) else None)
+      ~leakage ()
+  in
+  let* cells = int_range 0 4 in
+  let* cells = flatten_l (List.init cells cell) in
+  let+ corner = oneofl [ "TT"; "ss_0p9v_125c" ] in
+  Library.make ~name:"rand" ~corner ~cells
+
+(* Print at jobs = 2, parse, print again: the same bytes.  Every float
+   prints in a form that reads back to its own bits, so equal text
+   means a bit-exact round trip. *)
+let test_boundary_roundtrip =
+  Helpers.qtest ~count:100 ~long_factor:20 "random library prints and parses back bit-exactly"
+    gen_library (fun lib ->
+      with_jobs 2 (fun pool ->
+          let text = Printer.to_string ~pool lib in
+          Printer.to_string ~pool (Parser.parse text) = text))
+
+type damage = Truncate of int | Replace of int * char
+
+(* A damaged printed library either parses or raises one of the two
+   typed liberty errors; anything else escaping is a boundary bug. *)
+let test_boundary_damage =
+  let gen =
+    let open QCheck2.Gen in
+    pair gen_library
+      (oneof
+         [
+           map (fun i -> Truncate i) nat;
+           map2 (fun i c -> Replace (i, c)) nat (oneof [ printable; char ]);
+         ])
+  in
+  Helpers.qtest ~count:200 ~long_factor:25
+    "damaged library raises only Lexer.Error or Parser.Error" gen (fun (lib, damage) ->
+      let text = Printer.to_string lib in
+      let n = String.length text in
+      let damaged =
+        match damage with
+        | Truncate i -> String.sub text 0 (i mod n)
+        | Replace (i, c) -> String.mapi (fun j x -> if j = i mod n then c else x) text
+      in
+      match Parser.parse damaged with
+      | _ | (exception Lexer.Error _) | (exception Parser.Error _) -> true)
 
 let () =
   Alcotest.run "liberty"
@@ -565,5 +699,10 @@ let () =
           test_roundtrip_random_values;
         ] );
       ( "printer",
-        [ Alcotest.test_case "golden bytes" `Quick test_printer_golden_bytes ] );
+        [
+          Alcotest.test_case "golden bytes" `Quick test_printer_golden_bytes;
+          Alcotest.test_case "statlib reply is the printed library" `Quick
+            test_statlib_reply_is_printed_library;
+        ] );
+      ("boundary", [ test_boundary_roundtrip; test_boundary_damage ]);
     ]
