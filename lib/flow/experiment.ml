@@ -27,7 +27,6 @@ type run = {
   label : string;
   period : float;
   result : Synthesis.result;
-  paths : Path.t list;
   design_sigma : Design_sigma.t;
 }
 
@@ -142,41 +141,60 @@ let encode_run r b =
   Codec.w_string b r.label;
   Codec.w_float b r.period;
   Codec.w_result b r.result;
-  Codec.w_paths b r.paths;
   Codec.w_design_sigma b r.design_sigma
 
 let run_kind : run Store.kind = Store.kind ()
 
-let decode_run ~(cons : Constraints.t) r =
-  let label = Codec.r_string r in
-  let period = Codec.r_float r in
-  let result = Codec.r_result ~timing_config:(Constraints.timing_config cons) r in
-  let paths = Codec.r_paths r in
+(* Every field but the result is checked against the key's recipe or
+   recomputed from the result: an entry that decodes is the run its key
+   names, or [Codec.Corrupt] evicts it. *)
+let decode_run ~library ~label ~(cons : Constraints.t) r =
+  let period = cons.Constraints.clock_period in
+  if Codec.r_string r <> label then raise (Codec.Corrupt "run label differs from its key");
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  if not (same (Codec.r_float r) period) then
+    raise (Codec.Corrupt "run period differs from its key");
+  let result = Codec.r_result ~library ~timing_config:(Constraints.timing_config cons) r in
   let design_sigma = Codec.r_design_sigma r in
-  { label; period; result; paths; design_sigma }
+  let { Design_sigma.dist = d; paths; worst_path_3sigma = w } =
+    Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist
+  in
+  if
+    not
+      (paths = design_sigma.paths
+      && same d.mean design_sigma.dist.mean
+      && same d.sigma design_sigma.dist.sigma
+      && same w design_sigma.worst_path_3sigma)
+  then raise (Codec.Corrupt "stored design sigma disagrees with the timing");
+  { label; period; result; design_sigma }
 
 (* Synthesis runs are deterministic in their recipe (setup identity,
    period, label, constraints), and the experiments re-visit baselines
    constantly: every run is fetched through the setup's scope, then the
    store tiers, and computed only when neither holds it.  The
    restriction table is built only then; neither the key nor the
-   decoder reads it. *)
+   decoder reads it.  A run is shared once fetched, so its timing's
+   endpoint lists are built before that: by [Design_sigma.measure] on
+   compute, by [Codec.r_result] on decode. *)
 let run_with ?restrictions setup ~period ~label =
   let c = setup.cache in
   let cons = Constraints.make ~clock_period:period () in
   let key = run_key setup ~period ~label ~cons in
   let r, hit =
-    Journal.fetch ~kind:run_kind ~scope:c.scope ?store:c.store c.ckpt key (decode_run ~cons)
+    Journal.fetch ~kind:run_kind ~scope:c.scope ?store:c.store c.ckpt key
+      (decode_run ~library:setup.statlib ~label ~cons)
       encode_run
       ~step:(fun _ -> Journal.Synthesis_done { key = Store.Key.id key; label; period })
       (fun () ->
         let cons = { cons with restrictions = Option.map (fun f -> f ()) restrictions } in
         let result = Synthesis.run cons setup.statlib setup.design in
-        let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
-        { label; period; result; paths; design_sigma = Design_sigma.of_paths paths })
+        let design_sigma = Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist in
+        { label; period; result; design_sigma })
   in
   Obs.Counter.incr (if hit then c_cache_hits else c_cache_misses);
   r
+
+let paths run = Path.worst_per_endpoint run.result.Synthesis.timing run.result.Synthesis.netlist
 
 let baseline setup ~period = run_with setup ~period ~label:"baseline"
 
@@ -297,4 +315,4 @@ let find_path_of_depth run ~depth =
       | None -> Some p
       | Some best ->
         if abs (Path.depth p - depth) < abs (Path.depth best - depth) then Some p else acc)
-    None run.paths
+    None (paths run)

@@ -17,15 +17,20 @@
 
     {b Lifetime.}  A setup holds every run it fetched until the setup
     is dropped, and nothing else bounds that memory: every figure of
-    [vartune figures all -n 8] from one setup peaks at ~1.8 GB. *)
+    [vartune figures all --no-store] (N = 50) from one setup peaks at
+    ~1.3 GB. *)
 
 type run = {
   label : string;
   period : float;
   result : Vartune_synth.Synthesis.result;
-  paths : Vartune_sta.Path.t list;  (** worst path per endpoint *)
   design_sigma : Vartune_stats.Design_sigma.t;
+      (** {!Vartune_stats.Design_sigma.measure} of [result]'s final timing *)
 }
+(** One synthesis run.  It holds no path list: {!paths} derives the
+    worst path per endpoint on demand.  A fetched run is shared (see
+    {!baseline}), so it is read-only; its timing's endpoint lists are
+    built before it is first returned. *)
 
 type cache
 (** Where a setup's runs come from: its scope, plus the store tiers and
@@ -125,6 +130,13 @@ val best_under_area_cap :
 val paper_period_labels : float -> (string * float) list
 (** Scales the paper's Table 1 ladder (2.41 / 2.5 / 4 / 10 ns) to a
     measured minimum period. *)
+
+val paths : run -> Vartune_sta.Path.t list
+(** The worst path to every endpoint of the run's final timing
+    ({!Vartune_sta.Path.worst_per_endpoint}), derived afresh on each call
+    (15–20 ms and ~8 MB for the mcu); it only reads the run.  Its
+    {!Vartune_stats.Design_sigma.of_paths} equals [run.design_sigma] bit
+    for bit. *)
 
 val find_path_of_depth :
   run -> depth:int -> Vartune_sta.Path.t option

@@ -489,15 +489,16 @@ let fig12_depths (setup : Experiment.setup) =
       hist;
     Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl [] |> List.sort compare
   in
+  let base = Experiment.paths base and tuned = Experiment.paths tuned in
   Report.sub_heading "baseline";
-  Report.int_histogram (bucket base.Experiment.paths);
+  Report.int_histogram (bucket base);
   Report.sub_heading (Printf.sprintf "sigma ceiling %g" ceiling);
-  Report.int_histogram (bucket tuned.Experiment.paths);
+  Report.int_histogram (bucket tuned);
   let mean_depth paths =
     let ds = List.map Path.depth paths in
     float_of_int (List.fold_left ( + ) 0 ds) /. float_of_int (max 1 (List.length ds))
   in
-  let bd = mean_depth base.Experiment.paths and td = mean_depth tuned.Experiment.paths in
+  let bd = mean_depth base and td = mean_depth tuned in
   Printf.printf
     "  mean depth: baseline %.2f -> tuned %.2f (%s; the paper saw deepening when\n\
     \  restriction forces recreating functions from simpler cells)\n"
@@ -510,11 +511,9 @@ let fig13_sigma_depth (setup : Experiment.setup) =
   let period = List.assoc "high" setup.Experiment.periods in
   let show label (run : Experiment.run) =
     Report.sub_heading label;
-    let xs = Array.of_list (List.map (fun p -> float_of_int (Path.depth p)) run.Experiment.paths) in
-    let ys =
-      Array.of_list
-        (List.map (fun p -> (Convolve.of_path p).Dist.sigma) run.Experiment.paths)
-    in
+    let paths = Experiment.paths run in
+    let xs = Array.of_list (List.map (fun p -> float_of_int (Path.depth p)) paths) in
+    let ys = Array.of_list (List.map (fun p -> (Convolve.of_path p).Dist.sigma) paths) in
     Report.binned_scatter ~x_label:"depth" ~y_label:"sigma (ns)" xs ys
   in
   let ceiling = best_ceiling setup ~period in
@@ -535,7 +534,7 @@ let fig14_mean3sigma (setup : Experiment.setup) =
         (fun p ->
           let d = Convolve.of_path p in
           (Path.depth p, d.Dist.mean, Dist.quantile_3sigma d))
-        run.Experiment.paths
+        (Experiment.paths run)
     in
     let worst3 = List.fold_left (fun acc (_, _, q) -> Float.max acc q) 0.0 stats in
     let failing = List.length (List.filter (fun (_, _, q) -> q > effective) stats) in
@@ -674,7 +673,7 @@ let extension_yield (setup : Experiment.setup) =
   let ceiling = best_ceiling setup ~period in
   let base = Experiment.baseline setup ~period in
   let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
-  let dists (run : Experiment.run) = List.map Convolve.of_path run.Experiment.paths in
+  let dists (run : Experiment.run) = List.map Convolve.of_path (Experiment.paths run) in
   let base_dists = dists base and tuned_dists = dists tuned in
   let effective p = p -. guard_band in
   let rows =
@@ -737,8 +736,7 @@ let futurework_layout (setup : Experiment.setup) =
         Timing.wire_caps = Some (Placement.wire_caps placement nl) }
     in
     let placed_timing = Timing.run cfg nl in
-    let paths = Path.worst_per_endpoint placed_timing nl in
-    let post = (Design_sigma.of_paths paths).Design_sigma.dist.Dist.sigma in
+    let post = (Design_sigma.measure placed_timing nl).Design_sigma.dist.Dist.sigma in
     let cts = Cts.synthesize placement nl ~library:setup.Experiment.statlib in
     let w, h = Placement.die placement in
     ( label,
@@ -792,7 +790,7 @@ let ablation_guard_band (setup : Experiment.setup) =
   let implied_guard (run : Experiment.run) =
     List.fold_left
       (fun acc p -> Float.max acc (3.0 *. (Convolve.of_path p).Dist.sigma))
-      0.0 run.Experiment.paths
+      0.0 (Experiment.paths run)
   in
   let gb = implied_guard base and gt = implied_guard tuned in
   Report.table
@@ -816,8 +814,7 @@ let ablation_mapping_style (setup : Experiment.setup) =
   let cons = Constraints.make ~clock_period:period () in
   let row style label =
     let result = Synthesis.run ~style cons setup.Experiment.statlib setup.Experiment.design in
-    let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
-    let ds = Design_sigma.of_paths paths in
+    let ds = Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist in
     [
       label;
       Printf.sprintf "%d" result.Synthesis.instances;
@@ -840,11 +837,11 @@ let ablation_mapping_style (setup : Experiment.setup) =
 let ablation_rho (setup : Experiment.setup) =
   Report.heading "Ablation — correlation assumption in path convolution (eqs 8-10)";
   let period = List.assoc "high" setup.Experiment.periods in
-  let base = Experiment.baseline setup ~period in
+  let base = Experiment.paths (Experiment.baseline setup ~period) in
   let rows =
     List.map
       (fun rho ->
-        let dists = List.map (Convolve.of_path_rho ~rho) base.Experiment.paths in
+        let dists = List.map (Convolve.of_path_rho ~rho) base in
         let d = Design_sigma.of_dists dists in
         [ Printf.sprintf "%.1f" rho; Printf.sprintf "%.4f" d.Dist.sigma ])
       [ 0.0; 0.1; 0.3 ]
@@ -898,8 +895,7 @@ let ablation_variability_metric (setup : Experiment.setup) =
           Constraints.make ~clock_period:period ~restrictions:(variability_table ceiling) ()
         in
         let result = Synthesis.run cons setup.Experiment.statlib setup.Experiment.design in
-        let paths = Path.worst_per_endpoint result.Synthesis.timing result.Synthesis.netlist in
-        let ds = Design_sigma.of_paths paths in
+        let ds = Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist in
         let reduction =
           (design_sigma_of base -. ds.Design_sigma.dist.Dist.sigma) /. design_sigma_of base
         in

@@ -176,7 +176,7 @@ let eval ?store ?ckpt ?(emit = ignore) req =
     Option.iter
       (fun mc_samples ->
         let mc_path =
-          let paths = base_run.Experiment.paths in
+          let paths = Experiment.paths base_run in
           List.nth paths (List.length paths / 2)
         in
         let mc =

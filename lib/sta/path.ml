@@ -1,6 +1,7 @@
 module Netlist = Vartune_netlist.Netlist
 module Cell = Vartune_liberty.Cell
 module Arc = Vartune_liberty.Arc
+module Obs = Vartune_obs.Obs
 
 type step = {
   inst : Netlist.inst_id;
@@ -61,7 +62,9 @@ let extract timing nl (ep : Timing.endpoint_timing) =
   }
 
 let worst_per_endpoint timing nl =
-  List.map (extract timing nl) (Timing.endpoints timing)
+  let eps = Timing.endpoints timing in
+  Obs.span "sta.paths" ~attrs:(fun () -> [ ("paths", string_of_int (List.length eps)) ])
+  @@ fun () -> List.map (extract timing nl) eps
 
 let depth t = List.length t.steps
 let mean_delay t = List.fold_left (fun acc s -> acc +. s.delay) 0.0 t.steps

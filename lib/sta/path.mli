@@ -28,7 +28,10 @@ val extract : Timing.t -> Vartune_netlist.Netlist.t -> Timing.endpoint_timing ->
 (** Backtraces the critical path into the given endpoint. *)
 
 val worst_per_endpoint : Timing.t -> Vartune_netlist.Netlist.t -> t list
-(** One critical path per endpoint, every endpoint of the design. *)
+(** One critical path per endpoint, every endpoint of the design, in
+    {!Timing.endpoints} order, inside an [sta.paths] span.  It builds
+    the timing's endpoint lists on first use (see
+    {!Timing.endpoints}). *)
 
 val depth : t -> int
 (** Number of cells on the path. *)

@@ -104,6 +104,12 @@ val critical_arc :
 (** {!critical_input} of the net's driver, by the net it drives. *)
 
 val endpoints : t -> endpoint_timing list
+(** Setup checks at every register data pin, then every primary output.
+    This list and {!hold_endpoints} are built together on the first call
+    after a {!run} (or a {!retime} that moved an endpoint) and cached in
+    [t]; call it once before sharing [t] across domains, so that readers
+    never write the cache. *)
+
 val worst_slack : t -> float
 (** [infinity] when the design has no endpoints. *)
 

@@ -17,4 +17,13 @@ val of_dists : Dist.t list -> Dist.t
 (** eq. (11) over already-convolved path distributions. *)
 
 val measure : Vartune_sta.Timing.t -> Vartune_netlist.Netlist.t -> t
-(** Extracts the worst path per endpoint and aggregates. *)
+(** [of_paths (Vartune_sta.Path.worst_per_endpoint timing nl)], bit for
+    bit in every field, without building the path list.  It walks each
+    endpoint's critical chain ({!Vartune_sta.Timing.critical_arc}) the
+    way {!Vartune_sta.Path.extract} does, keeps each step's delay and
+    {!Vartune_liberty.Arc.sigma} in a scratch array reused across
+    endpoints, and folds them launch to capture in the order
+    {!Convolve.of_path} and {!Dist.sum_independent} add.  On the mcu it
+    takes about half the time of extracting the paths and convolving
+    them.  Like the path extraction, it builds the timing's endpoint
+    lists if no earlier call did. *)

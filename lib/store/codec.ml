@@ -6,7 +6,6 @@ module Cell = Vartune_liberty.Cell
 module Library = Vartune_liberty.Library
 module Netlist = Vartune_netlist.Netlist
 module Timing = Vartune_sta.Timing
-module Path = Vartune_sta.Path
 module Synthesis = Vartune_synth.Synthesis
 module Sizer = Vartune_synth.Sizer
 module Design_sigma = Vartune_stats.Design_sigma
@@ -14,7 +13,7 @@ module Dist = Vartune_stats.Dist
 
 (* Bump on any layout change AND on any pipeline-semantics change that
    alters what a stage computes for the same key — see codec.mli. *)
-let version = 1
+let version = 2
 
 exception Corrupt of string
 
@@ -247,14 +246,15 @@ let r_library r =
   Library.make ~name ~corner ~cells
 
 (* ------------------------------------------------------------------ *)
-(* Shared cell tables                                                  *)
+(* Cell tables                                                         *)
 (*                                                                     *)
-(* Netlists and paths reference the same library cell many times; a    *)
-(* blob embeds each distinct cell once (keyed by name — names are      *)
-(* unique within a library) and sites store indices.                   *)
+(* A netlist references the same library cell many times; an entry     *)
+(* names each distinct cell once (names are unique within a library)   *)
+(* and sites store indices.  The decoder resolves the names against    *)
+(* the library the netlist was synthesised with.                       *)
 (* ------------------------------------------------------------------ *)
 
-type cell_table_enc = { index_of : (string, int) Hashtbl.t; mutable rev : Cell.t list }
+type cell_table_enc = { index_of : (string, int) Hashtbl.t; mutable rev : string list }
 
 let ct_create () = { index_of = Hashtbl.create 64; rev = [] }
 
@@ -264,12 +264,18 @@ let ct_index t (c : Cell.t) =
   | None ->
     let i = Hashtbl.length t.index_of in
     Hashtbl.add t.index_of c.name i;
-    t.rev <- c :: t.rev;
+    t.rev <- c.name :: t.rev;
     i
 
-let w_cell_table b t = w_list b w_cell (List.rev t.rev)
+let w_cell_table b t = w_list b w_string (List.rev t.rev)
 
-let r_cell_table r = Array.of_list (r_list r r_cell)
+let r_cell_table library r =
+  Array.of_list
+    (r_list r (fun r ->
+         let name = r_string r in
+         match Library.find_opt library name with
+         | Some cell -> cell
+         | None -> corrupt "cell %s is not in the library" name))
 
 let ct_get table i =
   if i < 0 || i >= Array.length table then corrupt "cell index %d out of range" i;
@@ -291,85 +297,6 @@ let r_design_sigma r =
   let paths = r_int r in
   let worst_path_3sigma = r_float r in
   { Design_sigma.dist = { Dist.mean; sigma }; paths; worst_path_3sigma }
-
-(* ------------------------------------------------------------------ *)
-(* Paths                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let w_endpoint b = function
-  | Timing.Reg_data { inst; pin } ->
-    w_int b 0;
-    w_int b inst;
-    w_string b pin
-  | Timing.Primary_output nid ->
-    w_int b 1;
-    w_int b nid
-
-let r_endpoint r =
-  match r_int r with
-  | 0 ->
-    let inst = r_int r in
-    let pin = r_string r in
-    Timing.Reg_data { inst; pin }
-  | 1 -> Timing.Primary_output (r_int r)
-  | n -> corrupt "bad endpoint tag %d" n
-
-let w_step ct b (s : Path.step) =
-  w_int b s.inst;
-  w_int b (ct_index ct s.cell);
-  w_string b s.out_pin;
-  w_string b s.arc.Arc.related_pin;
-  w_float b s.input_slew;
-  w_float b s.load;
-  w_float b s.delay
-
-let r_step table r =
-  let inst = r_int r in
-  let cell = ct_get table (r_int r) in
-  let out_pin = r_string r in
-  let related_pin = r_string r in
-  let input_slew = r_float r in
-  let load = r_float r in
-  let delay = r_float r in
-  let arc =
-    match Cell.find_pin cell out_pin with
-    | None -> corrupt "path step: cell %s has no pin %s" cell.Cell.name out_pin
-    | Some pin -> (
-      match Pin.find_arc pin ~related_pin with
-      | None ->
-        corrupt "path step: cell %s pin %s has no arc from %s" cell.Cell.name out_pin
-          related_pin
-      | Some arc -> arc)
-  in
-  { Path.inst; cell; out_pin; arc; input_slew; load; delay }
-
-let w_path ct b (p : Path.t) =
-  w_endpoint b p.endpoint;
-  w_list b (w_step ct) p.steps;
-  w_float b p.arrival;
-  w_float b p.required;
-  w_float b p.slack
-
-let r_path table r =
-  let endpoint = r_endpoint r in
-  let steps = r_list r (r_step table) in
-  let arrival = r_float r in
-  let required = r_float r in
-  let slack = r_float r in
-  { Path.endpoint; steps; arrival; required; slack }
-
-let w_paths b paths =
-  (* the cell table must precede the paths in the stream, so encode the
-     bodies into a scratch buffer first *)
-  let ct = ct_create () in
-  let body = Buffer.create 4096 in
-  w_list body (w_path ct) paths;
-  w_cell_table b ct;
-  Buffer.add_buffer b body
-
-let r_paths r =
-  let table = r_cell_table r in
-  r_list r (r_path table)
 
 (* ------------------------------------------------------------------ *)
 (* Netlist + synthesis result                                          *)
@@ -423,8 +350,8 @@ let w_netlist b nl =
   w_cell_table b ct;
   Buffer.add_buffer b body
 
-let r_netlist r =
-  let table = r_cell_table r in
+let r_netlist ~library r =
+  let table = r_cell_table library r in
   let repr_name = r_string r in
   let n_nets = r_count r in
   let repr_nets =
@@ -484,8 +411,8 @@ let w_result b (res : Synthesis.result) =
   w_int b res.instances;
   w_sizer b res.sizer
 
-let r_result ~timing_config r =
-  let netlist = r_netlist r in
+let r_result ~library ~timing_config r =
+  let netlist = r_netlist ~library r in
   let feasible = r_bool r in
   let worst_slack = r_float r in
   let area = r_float r in
@@ -501,4 +428,15 @@ let r_result ~timing_config r =
   then
     corrupt "stored worst slack %.17g disagrees with recomputed timing %.17g" worst_slack
       recomputed;
+  (* the other verdicts are functions of the netlist and its timing too *)
+  if feasible <> (worst_slack >= 0.0) then corrupt "stored feasibility contradicts the slack";
+  if instances <> Netlist.instance_count netlist then
+    corrupt "stored instance count %d, netlist holds %d" instances
+      (Netlist.instance_count netlist);
+  let total = Netlist.total_area netlist in
+  if not (Int64.equal (Int64.bits_of_float area) (Int64.bits_of_float total)) then
+    corrupt "stored area %.17g disagrees with the netlist's %.17g" area total;
+  (* the result is shared once decoded: build the endpoint-list cache
+     now, so that no later reader writes it *)
+  ignore (Timing.endpoints timing);
   { Synthesis.netlist; timing; feasible; worst_slack; area; instances; sizer }

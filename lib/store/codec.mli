@@ -2,7 +2,7 @@
 
     Fast, allocation-light binary (de)serialisation of everything the
     persistent artifact store holds: statistical libraries, synthesis
-    results, critical-path lists and design-sigma aggregates.  All
+    results and design-sigma aggregates.  All
     numbers are fixed-width little-endian — floats travel as their
     IEEE-754 bit patterns — so a decoded artifact is {e bit-identical}
     to the encoded one, which is what lets warm pipeline runs reproduce
@@ -26,7 +26,18 @@
 
     The version participates in every store key, so a bump simply
     orphans old entries (they are never read again); [vartune store
-    wipe] or deleting the store directory reclaims the space. *)
+    wipe] or deleting the store directory reclaims the space.
+
+    {2 Synthesis-run entries}
+
+    Version 2 holds a synthesis run as its label, its period,
+    {!w_result} and {!w_design_sigma}, about 1.7 MB for the mcu.
+    Version 1 also held the worst path to every endpoint (2.75 MB of a
+    4.8 MB entry), and embedded every cell the netlist used (0.4–0.6 MB)
+    where version 2 names it; a run's paths are now derived on demand
+    from the timing that {!r_result} rebuilds.  A run fetched through a
+    [Store.scope] is held by that scope and stays out of the store's
+    in-process tier. *)
 
 val version : int
 (** Current codec/pipeline schema version. *)
@@ -76,22 +87,27 @@ val r_library : reader -> Vartune_liberty.Library.t
 val w_design_sigma : Buffer.t -> Vartune_stats.Design_sigma.t -> unit
 val r_design_sigma : reader -> Vartune_stats.Design_sigma.t
 
-val w_paths : Buffer.t -> Vartune_sta.Path.t list -> unit
-(** Self-contained: the cells referenced by path steps are embedded
-    once (deduplicated by name) and steps point into that table. *)
-
-val r_paths : reader -> Vartune_sta.Path.t list
-
 val w_result : Buffer.t -> Vartune_synth.Synthesis.result -> unit
 (** Embeds a faithful netlist image ({!Vartune_netlist.Netlist.export})
     — tombstones, sink order and name counter included — plus the
-    scalar verdicts and the sizer report.  The timing analysis itself
-    is not stored: it is a deterministic function of the netlist and is
-    recomputed on decode. *)
+    scalar verdicts and the sizer report.  Cells travel by name, each
+    distinct cell once.  The timing analysis itself is not stored: it
+    is a deterministic function of the netlist and is recomputed on
+    decode. *)
 
 val r_result :
-  timing_config:Vartune_sta.Timing.config -> reader -> Vartune_synth.Synthesis.result
-(** Rebuilds the netlist and re-runs {!Vartune_sta.Timing.run} under
+  library:Vartune_liberty.Library.t ->
+  timing_config:Vartune_sta.Timing.config ->
+  reader ->
+  Vartune_synth.Synthesis.result
+(** Rebuilds the netlist with the cells of [library] (the library the
+    result was synthesised with; a name it lacks raises {!Corrupt}), so
+    the decoded netlist shares the library's cell values, and re-runs
+    {!Vartune_sta.Timing.run} under
     [timing_config].  The recomputed worst slack must match the stored
     one bit-for-bit; a mismatch means the pipeline changed without a
-    {!version} bump and raises {!Corrupt} so the entry is evicted. *)
+    {!version} bump and raises {!Corrupt} so the entry is evicted.  The
+    feasibility, area and instance count must likewise agree with the
+    slack and the netlist.  The
+    timing's endpoint lists are built before it returns, so readers of
+    a shared result never write its cache. *)

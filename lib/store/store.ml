@@ -621,16 +621,20 @@ let live (t : t) = not (Atomic.get t.is_degraded)
    encoded once, remembered by every live handle and only then saved,
    so a concurrent fetch in this process finds it in memory rather than
    decoding the bytes being written.  The scope holds every value
-   returned; with no live handle nothing is encoded. *)
+   returned; with no live handle nothing is encoded.  A scoped value is
+   its scope's to hold and stays out of the handles' memory: the
+   ~1.7 MB synthesis runs a set-up scopes would otherwise evict the
+   artifacts every request shares (the statistical library). *)
 let fetch ~kind ?scope stores key decode encode compute =
   let id = Key.id key in
+  let keep s v ~size = if Option.is_none scope then remember s.memory kind id v ~size in
   let rec probe = function
     | [] ->
       let v = compute () in
       let tiers = List.filter live stores in
       if tiers <> [] then begin
         let payload = Obs.span "store.encode" (fun () -> payload_of (encode v)) in
-        List.iter (fun s -> remember s.memory kind id v ~size:(String.length payload)) tiers;
+        List.iter (fun s -> keep s v ~size:(String.length payload)) tiers;
         let framed = frame key payload in
         List.iter (fun s -> ignore_outcome (save_framed s key (fun () -> framed))) tiers
       end;
@@ -644,7 +648,7 @@ let fetch ~kind ?scope stores key decode encode compute =
       | None -> (
         match load_sized s key decode with
         | Ok (Some (v, size)) ->
-          remember s.memory kind id v ~size;
+          keep s v ~size;
           (v, true)
         | Ok None | Error _ -> probe rest))
   in

@@ -54,7 +54,10 @@
     and limited to {!memory_budget} bytes of encoded payload: each
     entry is charged the length of the payload its disk entry holds,
     and an artifact larger than half the budget is never kept, so no
-    single artifact can flush the table.  Only
+    single artifact can flush the table.  The budget counts encoded
+    bytes, not memory: a decoded value can be several times its entry
+    (a decoded mcu synthesis run holds 7.8 MB of its own, ~4.6 times
+    its 1.7 MB entry, besides the 0.7 MB of library cells it shares).  Only
     {!fetch} uses it; {!load}, {!save} and their [_result] forms stay
     disk-only.  A new {!open_dir} handle starts empty, and there is no
     table shared between handles.  A degraded handle neither consults
@@ -65,7 +68,10 @@
     A {!scope} is the same kind of table with no budget: it holds every
     value {!fetch} returned through it until the scope is dropped, so
     its owner decides how long values live (an experiment set-up holds
-    its synthesis runs, which are over the admission limit above).
+    its synthesis runs).  A value fetched with a scope stays out of the
+    handles' in-process tiers: the scope already holds it, and a set-up's
+    ~1.7 MB runs would otherwise evict the values every request shares
+    (the 3.8 MB statistical library).
 
     A fetched value may be shared with every later fetch of the same
     key through the same handle, across requests and domains.  Callers
@@ -219,9 +225,11 @@ val fetch :
     [store.*] counter.  Then the stores are probed in list order, each
     first in its in-process tier and then on disk with {!load}, and
     the first hit wins.  A disk hit
-    is remembered by the store that served it; it is not written back
+    is remembered by the store that served it (unless a [scope] holds
+    it); it is not written back
     to earlier stores.  On a miss in every store, [compute] runs once,
-    its result is encoded once, remembered by every store, and then
+    its result is encoded once, remembered by every store (unless a
+    [scope] holds it), and then
     the same entry bytes are {!save}d to all of them; with no live
     store nothing is encoded.  Every value returned, hit or computed,
     is held by the [scope].  The flag is [true] on a hit in the scope

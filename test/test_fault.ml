@@ -340,7 +340,7 @@ let run_scalars (r : Experiment.run) =
     bits r.result.Synthesis.area,
     r.result.Synthesis.feasible,
     r.result.Synthesis.instances,
-    List.length r.paths,
+    List.length (Experiment.paths r),
     bits r.design_sigma.Design_sigma.dist.Dist.mean,
     bits r.design_sigma.Design_sigma.dist.Dist.sigma,
     bits r.design_sigma.Design_sigma.worst_path_3sigma )

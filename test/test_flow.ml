@@ -164,7 +164,7 @@ let test_dispatch_counts () =
   let module Obs = Vartune_obs.Obs in
   let setup = Lazy.force tiny_setup in
   let path =
-    let paths = (Experiment.baseline setup ~period:setup.Experiment.min_period).Experiment.paths in
+    let paths = Experiment.paths (Experiment.baseline setup ~period:setup.Experiment.min_period) in
     List.nth paths (List.length paths / 2)
   in
   let was_enabled = Obs.enabled () in
@@ -212,7 +212,7 @@ let test_yield_clock_meets_target () =
   in
   List.iter
     (fun (label, (run : Experiment.run)) ->
-      let dists = List.map Vartune_stats.Convolve.of_path run.Experiment.paths in
+      let dists = List.map Vartune_stats.Convolve.of_path (Experiment.paths run) in
       let clock = Figures.clock_for_yield dists ~target:0.99 ~period in
       let at p = Yield.parametric_yield dists ~period:(p -. Figures.guard_band) in
       Alcotest.(check bool)

@@ -68,7 +68,7 @@ let run_scalars (r : Experiment.run) =
     bits r.result.Synthesis.area,
     r.result.Synthesis.feasible,
     r.result.Synthesis.instances,
-    List.length r.paths,
+    List.length (Experiment.paths r),
     bits r.design_sigma.Design_sigma.dist.Dist.mean,
     bits r.design_sigma.Design_sigma.dist.Dist.sigma,
     bits r.design_sigma.Design_sigma.worst_path_3sigma )
@@ -93,8 +93,9 @@ let test_result_roundtrip () =
   let run = Lazy.force tiny_run in
   let cons = Constraints.make ~clock_period:run.Experiment.period () in
   let timing_config = Constraints.timing_config cons in
+  let library = (Lazy.force tiny_setup).Experiment.statlib in
   let back =
-    decode (Codec.r_result ~timing_config)
+    decode (Codec.r_result ~library ~timing_config)
       (encode Codec.w_result run.Experiment.result)
   in
   let r = run.Experiment.result in
@@ -105,10 +106,37 @@ let test_result_roundtrip () =
   Alcotest.(check bool) "netlist image identical" true
     (Netlist.export r.Synthesis.netlist = Netlist.export back.Synthesis.netlist)
 
-let test_paths_roundtrip () =
-  let run = Lazy.force tiny_run in
-  let back = decode Codec.r_paths (encode Codec.w_paths run.Experiment.paths) in
-  Alcotest.(check bool) "paths identical" true (run.Experiment.paths = back)
+(* The tiny flow's baseline, fetched through [store]. *)
+let stored_run store =
+  let setup =
+    Experiment.prepare_request ~mcu_config:tiny_config ~specs:Helpers.small_specs ~store
+      (Vartune_flow.Request.Min_period { seed = 7; samples = 2 })
+  in
+  Experiment.baseline setup ~period:(setup.Experiment.min_period *. 1.5)
+
+(* A run entry holds no paths: a run read back on a cold handle derives
+   the same paths from its rebuilt timing, and the same design sigma. *)
+let test_decoded_run_paths () =
+  with_store "derive" (fun t ->
+      let computed = stored_run t in
+      let cold = Store.open_dir (Store.dir t) in
+      let decoded = stored_run cold in
+      let stats = Store.stats cold in
+      Alcotest.(check (pair int int)) "library, period and run read from disk" (3, 0)
+        (stats.Store.hits, stats.Store.misses);
+      Alcotest.(check bool) "derived paths identical" true
+        (Experiment.paths computed = Experiment.paths decoded);
+      let ds = computed.Experiment.design_sigma in
+      List.iter
+        (fun (what, (got : Design_sigma.t)) ->
+          check_bits (what ^ ": mean") ds.dist.Dist.mean got.dist.Dist.mean;
+          check_bits (what ^ ": sigma") ds.dist.Dist.sigma got.dist.Dist.sigma;
+          Alcotest.(check int) (what ^ ": paths") ds.paths got.paths;
+          check_bits (what ^ ": worst 3-sigma") ds.worst_path_3sigma got.worst_path_3sigma)
+        [
+          ("decoded", decoded.Experiment.design_sigma);
+          ("of the derived paths", Design_sigma.of_paths (Experiment.paths decoded));
+        ])
 
 let test_design_sigma_roundtrip () =
   let ds = (Lazy.force tiny_run).Experiment.design_sigma in
@@ -243,6 +271,115 @@ let test_wrong_version_is_miss () =
       Alcotest.(check bool) "foreign version -> miss" true
         (Store.load t key Codec.r_int = None);
       Alcotest.(check bool) "foreign version evicted" false (Sys.file_exists path))
+
+(* A synthesis-run entry corrupted behind a valid checksum: truncated,
+   or one byte changed, and reframed with the checksum of the new
+   payload, so only the decoder's own checks stand between it and the
+   flow.  A cold handle must then miss, evict the entry and recompute
+   the run, which lands the original bytes again; no exception may
+   escape.  The only changes a decoder can let through are in the
+   fields nothing else in the entry or its key determines: the
+   design, net and instance names, the name counter and the sizer's
+   activity counts.  A run accepted with such a change must equal the
+   computed one in everything else, derived paths included. *)
+(* An entry file: magic, then version, recipe id, checksum, payload. *)
+let entry_fields contents =
+  let r = Codec.reader (String.sub contents 8 (String.length contents - 8)) in
+  let version = Codec.r_int r in
+  let id = Codec.r_string r in
+  ignore (Codec.r_int r);
+  (version, id, Codec.r_string r)
+
+let reframe contents payload =
+  let version, id, _ = entry_fields contents in
+  let b = Buffer.create (String.length payload + 256) in
+  Buffer.add_string b (String.sub contents 0 8);
+  Codec.w_int b version;
+  Codec.w_string b id;
+  Codec.w_int b (Int64.to_int (Key.fnv1a64 0xcbf29ce484222325L payload));
+  Codec.w_string b payload;
+  Buffer.contents b
+
+(* the computed run, with its entry's path and bytes *)
+let boundary_fixture =
+  lazy
+    (let t = Store.open_dir (Filename.concat temp_root "boundary") in
+     Store.wipe t;
+     let run = stored_run t in
+     let prefix = Printf.sprintf "v%d|synth_run" Codec.version in
+     let objects = Filename.concat (Store.dir t) "objects" in
+     let entries =
+       List.concat_map
+         (fun sub ->
+           List.filter_map
+             (fun name ->
+               let path = Filename.concat (Filename.concat objects sub) name in
+               let contents = read_file path in
+               let _, id, _ = entry_fields contents in
+               if String.starts_with ~prefix id then Some (path, contents) else None)
+             (Array.to_list (Sys.readdir (Filename.concat objects sub))))
+         (Array.to_list (Sys.readdir objects))
+     in
+     match entries with
+     | [ (path, contents) ] -> (t, run, path, contents)
+     | l -> Alcotest.failf "expected one run entry, found %d" (List.length l))
+
+let unnamed nl =
+  let r = Netlist.export nl in
+  {
+    r with
+    Netlist.repr_name = "";
+    repr_name_counter = 0;
+    repr_nets = Array.map (fun (_, driver, sinks) -> ("", driver, sinks)) r.Netlist.repr_nets;
+    repr_instances =
+      Array.map (Option.map (fun (_, cell, i, o) -> ("", cell, i, o))) r.Netlist.repr_instances;
+  }
+
+let test_run_entry_boundary =
+  Helpers.qtest ~count:30 ~long_factor:20 "corrupt run entry behind a valid checksum"
+    QCheck2.Gen.(triple bool (float_bound_exclusive 1.0) (int_range 1 255))
+    (fun (truncate, at, mask) ->
+      let t, reference, path, contents = Lazy.force boundary_fixture in
+      let _, _, payload = entry_fields contents in
+      let pos = int_of_float (at *. float_of_int (String.length payload)) in
+      let bad =
+        if truncate then String.sub payload 0 pos
+        else
+          String.mapi
+            (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c)
+            payload
+      in
+      write_file path (reframe contents bad);
+      let what = if truncate then "truncated" else "changed" in
+      let cold = Store.open_dir (Store.dir t) in
+      let run =
+        try stored_run cold
+        with e ->
+          QCheck2.Test.fail_reportf "%s at %d: %s escaped" what pos (Printexc.to_string e)
+      in
+      let stats = Store.stats cold in
+      let same_run () =
+        run_scalars run = run_scalars reference
+        && unnamed run.Experiment.result.Synthesis.netlist
+           = unnamed reference.Experiment.result.Synthesis.netlist
+        && Experiment.paths run = Experiment.paths reference
+      in
+      if stats.Store.evictions = 1 then begin
+        let r = run.Experiment.result and want = reference.Experiment.result in
+        if
+          not
+            (same_run ()
+            && Netlist.export r.Synthesis.netlist = Netlist.export want.Synthesis.netlist
+            && r.Synthesis.sizer = want.Synthesis.sizer)
+        then
+          QCheck2.Test.fail_reportf "%s at %d: evicted, but the recomputed run differs" what pos;
+        if read_file path <> contents then
+          QCheck2.Test.fail_reportf "%s at %d: the recomputed entry differs" what pos
+      end
+      else if truncate then QCheck2.Test.fail_reportf "truncated at %d: entry accepted" pos
+      else if not (same_run ()) then
+        QCheck2.Test.fail_reportf "byte %d ^ %d: a different run came back" pos mask;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Writer lock discipline                                              *)
@@ -580,6 +717,23 @@ let test_scope_hit_touches_no_store () =
         (fetch ~scope:(Store.scope ()) [ t ] computed);
       Alcotest.(check int) "one more store hit" (before.Store.hits + 1) (Store.stats t).Store.hits)
 
+(* A scoped value is its scope's to hold: neither a computed nor a
+   decoded one enters the handle's memory, so a later fetch without
+   the scope decodes it from disk. *)
+let test_scope_skips_memory () =
+  with_store "scope_memory" (fun t ->
+      let c, fetch = counting () in
+      let computed = Key.(int (v "scope_probe") "case" 4) in
+      let on_disk = Key.(int (v "scope_probe") "case" 5) in
+      Store.save t on_disk (fun b -> Codec.w_string b "saved");
+      ignore (fetch ~scope:(Store.scope ()) [ t ] computed);
+      ignore (fetch ~scope:(Store.scope ()) [ t ] on_disk);
+      check_counts "scoped" c ~decodes:1 ~encodes:1 ~computes:1;
+      Alcotest.(check (pair string bool))
+        "computed, saved" ("computed", true) (fetch [ t ] computed);
+      Alcotest.(check (pair string bool)) "decoded, saved" ("saved", true) (fetch [ t ] on_disk);
+      check_counts "both read from disk" c ~decodes:3 ~encodes:1 ~computes:1)
+
 (* With no store a scope still holds what it computed, at any size, and
    nothing is encoded. *)
 let test_scope_without_store () =
@@ -712,7 +866,8 @@ let () =
         [
           Alcotest.test_case "library roundtrip" `Quick test_library_roundtrip;
           Alcotest.test_case "result roundtrip" `Slow test_result_roundtrip;
-          Alcotest.test_case "paths roundtrip" `Slow test_paths_roundtrip;
+          Alcotest.test_case "decoded run derives the computed paths" `Slow
+            test_decoded_run_paths;
           Alcotest.test_case "design sigma roundtrip" `Slow test_design_sigma_roundtrip;
         ] );
       ( "keys",
@@ -725,6 +880,7 @@ let () =
         [
           Alcotest.test_case "evict and recompute" `Quick test_corruption_recovery;
           Alcotest.test_case "foreign version" `Quick test_wrong_version_is_miss;
+          test_run_entry_boundary;
         ] );
       ( "locking",
         [
@@ -760,6 +916,7 @@ let () =
           Alcotest.test_case "scope hit touches no store" `Quick
             test_scope_hit_touches_no_store;
           Alcotest.test_case "scope without store" `Quick test_scope_without_store;
+          Alcotest.test_case "scoped values stay out of memory" `Quick test_scope_skips_memory;
           Alcotest.test_case "nominal rejects wrong cell count" `Quick
             test_nominal_rejects_wrong_cell_count;
         ] );
