@@ -179,18 +179,6 @@ let min_period_cmd =
     (cmd_info "min-period" ~doc:"Measure the minimum feasible clock period (Table 1).")
     Term.(const run $ Common_opts.request_term)
 
-let figure_names =
-  [
-    ("fig1", `Fig1); ("fig2", `Fig2); ("fig3", `Fig3); ("fig4", `Fig4); ("fig5", `Fig5);
-    ("fig6", `Fig6); ("fig7", `Fig7); ("fig8", `Fig8); ("fig9", `Fig9); ("fig10", `Fig10);
-    ("fig11", `Fig11); ("fig12", `Fig12); ("fig13", `Fig13); ("fig14", `Fig14);
-    ("fig15", `Fig15); ("fig16", `Fig16); ("table1", `Table1); ("table2", `Table2);
-    ("table3", `Table3); ("ext-power", `Power); ("ext-yield", `Yield); ("ext-hold", `Hold);
-    ("futurework-layout", `Layout); ("ablation-mapping", `Mapping);
-    ("ablation-guard-band", `Guard); ("ablation-rho", `Rho); ("ablation-variability", `Variability);
-    ("all", `All);
-  ]
-
 (* figures drives Experiment directly (it renders many exhibits from
    one setup); the setup is still requested through the shared base. *)
 let prepare_setup (common : Common_opts.t) =
@@ -199,44 +187,23 @@ let prepare_setup (common : Common_opts.t) =
     (Request.Min_period { Request.seed = common.seed; samples = common.samples })
 
 let figures_cmd =
+  let generators =
+    List.concat_map (fun (names, generate) -> List.map (fun n -> (n, generate)) names)
+      Figures.exhibits
+    @ [ ("all", Figures.run_all) ]
+  in
   let figure_arg =
+    let names = List.map (fun (n, _) -> (n, n)) generators in
     Arg.(
       value
-      & pos 0 (enum figure_names) `All
-      & info [] ~docv:"FIGURE" ~doc:"Exhibit to regenerate (fig1..fig16, table1..table3, all).")
+      & pos 0 (enum names) "all"
+      & info [] ~docv:"FIGURE"
+          ~doc:(Printf.sprintf "Exhibit to regenerate: %s." (Arg.doc_alts_enum names)))
   in
   let run common figure =
     Common_opts.setup common;
     Common_opts.guard @@ fun () ->
-    let setup = prepare_setup common in
-    match figure with
-    | `All -> Figures.run_all setup
-    | `Fig1 -> Figures.fig1_metric ()
-    | `Fig2 -> Figures.fig2_statlib setup
-    | `Fig3 -> Figures.fig3_bilinear ()
-    | `Fig4 -> Figures.fig4_inv_surfaces setup
-    | `Fig5 -> Figures.fig5_drive6 setup
-    | `Fig6 -> Figures.fig6_rectangle setup
-    | `Fig7 -> Figures.fig7_all_luts setup
-    | `Fig8 -> Figures.fig8_period_area setup
-    | `Fig9 -> Figures.fig9_cell_use setup
-    | `Fig10 | `Table3 -> Figures.table3_winners (Figures.fig10_method_sweep setup)
-    | `Fig11 -> Figures.fig11_tradeoff setup
-    | `Fig12 -> Figures.fig12_depths setup
-    | `Fig13 -> Figures.fig13_sigma_depth setup
-    | `Fig14 -> Figures.fig14_mean3sigma setup
-    | `Fig15 -> Figures.fig15_corners setup
-    | `Fig16 -> Figures.fig16_local_share setup
-    | `Table1 -> Figures.table1_periods setup
-    | `Table2 -> Figures.table2_parameters ()
-    | `Power -> Figures.extension_power setup
-    | `Yield -> Figures.extension_yield setup
-    | `Hold -> Figures.extension_hold setup
-    | `Layout -> Figures.futurework_layout setup
-    | `Mapping -> Figures.ablation_mapping_style setup
-    | `Guard -> Figures.ablation_guard_band setup
-    | `Rho -> Figures.ablation_rho setup
-    | `Variability -> Figures.ablation_variability_metric setup
+    List.assoc figure generators (lazy (prepare_setup common))
   in
   Cmd.v
     (cmd_info "figures" ~doc:"Regenerate a table or figure from the paper's evaluation.")

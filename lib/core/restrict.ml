@@ -39,27 +39,26 @@ let unrestricted =
 let window_allows w ~slew ~load =
   slew >= w.slew_min && slew <= w.slew_max && load >= w.load_min && load <= w.load_max
 
+let lut_window lut ~ceiling =
+  (* "Values in the equivalent table which are smaller than the
+     threshold will become a logic one" -- <= keeps the ceiling value
+     itself usable, matching the sigma-ceiling sweep's intent. *)
+  match Rectangle.naive_largest (Binary_lut.of_ceiling lut ~ceiling) with
+  | None -> Unusable
+  | Some rect ->
+    let slews = Lut.slews lut and loads = Lut.loads lut in
+    Window
+      {
+        slew_min = slews.(rect.Rectangle.row_lo);
+        slew_max = slews.(rect.Rectangle.row_hi);
+        load_min = loads.(rect.Rectangle.col_lo);
+        load_max = loads.(rect.Rectangle.col_hi);
+      }
+
 let pin_window (pin : Pin.t) ~threshold =
   match List.filter_map Arc.worst_sigma pin.arcs with
   | [] -> Unrestricted
-  | sigmas -> begin
-    let equivalent = Slope.max_equivalent_by_index sigmas in
-    (* "Values in the equivalent table which are smaller than the
-       threshold will become a logic one" -- <= keeps the ceiling value
-       itself usable, matching the sigma-ceiling sweep's intent. *)
-    let mask = Binary_lut.of_ceiling equivalent ~ceiling:threshold in
-    match Rectangle.naive_largest mask with
-    | None -> Unusable
-    | Some rect ->
-      let slews = Lut.slews equivalent and loads = Lut.loads equivalent in
-      Window
-        {
-          slew_min = slews.(rect.Rectangle.row_lo);
-          slew_max = slews.(rect.Rectangle.row_hi);
-          load_min = loads.(rect.Rectangle.col_lo);
-          load_max = loads.(rect.Rectangle.col_hi);
-        }
-  end
+  | sigmas -> lut_window (Slope.max_equivalent_by_index sigmas) ~ceiling:threshold
 
 let empty_table () : table = Hashtbl.create 512
 

@@ -23,9 +23,14 @@ type table
 
 val window_allows : window -> slew:float -> load:float -> bool
 
+val lut_window : Vartune_liberty.Lut.t -> ceiling:float -> status
+(** The largest all-ones rectangle of the LUT's entries at or under
+    [ceiling], as a [Window]; [Unusable] when no entry qualifies. *)
+
 val pin_window :
   Vartune_liberty.Pin.t -> threshold:float -> status
-(** Stage-two restriction of one output pin. *)
+(** Stage-two restriction of one output pin: {!lut_window} of the
+    maximum-equivalent sigma LUT over its arcs. *)
 
 val empty_table : unit -> table
 

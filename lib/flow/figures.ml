@@ -38,6 +38,8 @@ let guard_band =
 let design_sigma_of (run : Experiment.run) =
   run.Experiment.design_sigma.Design_sigma.dist.Dist.sigma
 
+let yes_no feasible = if feasible then "yes" else "NO"
+
 (* ------------------------------------------------------------------ *)
 
 let fig1_metric () =
@@ -253,7 +255,7 @@ let fig8_period_area (setup : Experiment.setup) =
           Printf.sprintf "%.2f" period;
           Printf.sprintf "%.0f" run.Experiment.result.Synthesis.area;
           string_of_int run.Experiment.result.Synthesis.instances;
-          (if run.Experiment.result.Synthesis.feasible then "yes" else "NO");
+          yes_no run.Experiment.result.Synthesis.feasible;
         ])
       factors
   in
@@ -278,37 +280,67 @@ let table1_periods (setup : Experiment.setup) =
 
 let table2_parameters () =
   Report.heading "Table 2 — constraint parameters for threshold extraction";
+  let sweep values = String.concat ", " (List.map string_of_float values) in
   Report.table
     ~header:[ "parameter"; "sweep values"; "default" ]
     ~rows:
       [
-        [ "load slope bound"; String.concat ", " (List.map string_of_float paper_bounds); "1." ];
-        [ "slew slope bound"; String.concat ", " (List.map string_of_float paper_bounds); "0.06" ];
-        [ "sigma ceiling"; String.concat ", " (List.map string_of_float paper_ceilings); "100." ];
+        [ "load slope bound"; sweep paper_bounds; "1." ];
+        [ "slew slope bound"; sweep paper_bounds; "0.06" ];
+        [ "sigma ceiling"; sweep paper_ceilings; "100." ];
       ]
 
 (* the sigma-ceiling method instance used by several figures *)
 let ceiling_method c =
   { Tuning_method.population = Cluster.Per_cell; criterion = Threshold.Sigma_ceiling c }
 
+(* the sigma-ceiling sweep over Table 2's values at one period (Fig 11) *)
+let ceiling_sweep setup ~period =
+  Experiment.sweep setup ~baseline:(Experiment.baseline setup ~period)
+    ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
+
 (* the ceiling the Fig 10 selection rule would pick at this period; the
    downstream figures (9, 12-14) study that winning configuration *)
 let best_ceiling setup ~period =
-  let points =
-    Experiment.sweep setup ~baseline:(Experiment.baseline setup ~period)
-      ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
-  in
-  match Experiment.best_under_area_cap points with
+  match Experiment.best_under_area_cap (ceiling_sweep setup ~period) with
   | Some best -> best.Experiment.parameter
   | None -> 0.02
 
+(* What the exhibits after Fig 10 compare at one rung of the period
+   ladder: the baseline and the run tuned with the best ceiling there. *)
+type headline = {
+  period : float;
+  ceiling : float;
+  base : Experiment.run;
+  tuned : Experiment.run;
+  label : string;  (* the tuned design's row label *)
+}
+
+let headline (setup : Experiment.setup) period_label =
+  let period = List.assoc period_label setup.Experiment.periods in
+  let ceiling = best_ceiling setup ~period in
+  let base = Experiment.baseline setup ~period in
+  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+  { period; ceiling; base; tuned; label = Printf.sprintf "sigma ceiling %g" ceiling }
+
+(* every worst path of a run with its convolved delay distribution *)
+let path_dists run = List.map (fun p -> (p, Convolve.of_path p)) (Experiment.paths run)
+
+(* a sweep point's parameter, sigma decrease, area increase, feasibility *)
+let point_row (p : Experiment.sweep_point) =
+  [
+    Printf.sprintf "%g" p.Experiment.parameter;
+    Report.pct p.Experiment.reduction;
+    Report.pct p.Experiment.area_delta;
+    yes_no p.Experiment.run.Experiment.result.Synthesis.feasible;
+  ]
+
 let fig9_cell_use (setup : Experiment.setup) =
   Report.heading "Fig 9 — cell use, baseline vs sigma-ceiling tuned";
-  let show label period ceiling =
+  let show title period_label =
+    let { period; ceiling; base; tuned; _ } = headline setup period_label in
     Report.sub_heading
-      (Printf.sprintf "(%s) clock %.2f ns, ceiling %.3g" label period ceiling);
-    let base = Experiment.baseline setup ~period in
-    let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+      (Printf.sprintf "(%s) clock %.2f ns, ceiling %.3g" title period ceiling);
     let base_use = Netlist.cell_usage base.Experiment.result.Synthesis.netlist in
     let tuned_use = Netlist.cell_usage tuned.Experiment.result.Synthesis.netlist in
     let threshold_count = 50 in
@@ -332,20 +364,14 @@ let fig9_cell_use (setup : Experiment.setup) =
     Printf.printf "  total inverters: baseline %d -> tuned %d\n" (inv_count base_use)
       (inv_count tuned_use)
   in
-  let high = List.assoc "high" setup.Experiment.periods in
-  let low = List.assoc "low" setup.Experiment.periods in
-  show "a: high performance" high (best_ceiling setup ~period:high);
-  show "b: low performance" low (best_ceiling setup ~period:low)
+  show "a: high performance" "high";
+  show "b: low performance" "low"
 
 type winner = {
   period_label : string;
   period : float;
   method_name : string;
-  parameter : float;
-  reduction : float;
-  area_delta : float;
-  sigma : float;
-  area : float;
+  best : Experiment.sweep_point;
 }
 
 let methods_with_sweeps =
@@ -364,73 +390,54 @@ let methods_with_sweeps =
 let fig10_method_sweep (setup : Experiment.setup) =
   Report.heading
     "Fig 10 — best sigma decrease (area < +10%) per tuning method and clock period";
-  let winners = ref [] in
-  List.iter
-    (fun (label, period) ->
-      let base = Experiment.baseline setup ~period in
-      Report.sub_heading
-        (Printf.sprintf "clock %.2f ns (%s): baseline sigma %.4f ns, area %.2fe4 um^2" period
-           label (design_sigma_of base)
-           (base.Experiment.result.Synthesis.area /. 1e4));
-      let all_rows = ref [] in
-      let entries =
-        List.map
-          (fun (tuning, parameters) ->
-            let points = Experiment.sweep setup ~baseline:base ~tuning ~parameters in
-            List.iter
-              (fun (p : Experiment.sweep_point) ->
-                all_rows :=
-                  [
-                    Tuning_method.short_name tuning;
-                    Printf.sprintf "%g" p.Experiment.parameter;
-                    Report.pct p.Experiment.reduction;
-                    Report.pct p.Experiment.area_delta;
-                    (if p.Experiment.run.Experiment.result.Synthesis.feasible then "yes"
-                     else "NO");
-                  ]
-                  :: !all_rows)
-              points;
-            let best = Experiment.best_under_area_cap points in
-            Option.iter
-              (fun (b : Experiment.sweep_point) ->
-                winners :=
-                  {
-                    period_label = label;
-                    period;
-                    method_name = Tuning_method.short_name tuning;
-                    parameter = b.Experiment.parameter;
-                    reduction = b.Experiment.reduction;
-                    area_delta = b.Experiment.area_delta;
-                    sigma = design_sigma_of b.Experiment.run;
-                    area = b.Experiment.run.Experiment.result.Synthesis.area;
-                  }
-                  :: !winners)
-              best;
-            (Tuning_method.short_name tuning, best))
-          methods_with_sweeps
-      in
-      let bar f =
-        List.map
-          (fun (name, best) ->
-            match best with
-            | Some (b : Experiment.sweep_point) ->
-              (name, Float.round (f b *. 1000.0) /. 10.0)
-            | None -> (name ^ " (no point <10% area)", 0.0))
-          entries
-      in
-      Report.bar_chart ~unit_label:"% sigma decrease"
-        (bar (fun b -> b.Experiment.reduction));
-      Report.bar_chart ~unit_label:"% area increase"
-        (bar (fun b -> b.Experiment.area_delta));
-      print_endline "  full sweep:";
-      Report.table
-        ~header:[ "method"; "parameter"; "sigma decrease"; "area increase"; "feasible" ]
-        ~rows:(List.rev !all_rows))
-    setup.Experiment.periods;
+  let winners =
+    List.concat_map
+      (fun (period_label, period) ->
+        let base = Experiment.baseline setup ~period in
+        Report.sub_heading
+          (Printf.sprintf "clock %.2f ns (%s): baseline sigma %.4f ns, area %.2fe4 um^2" period
+             period_label (design_sigma_of base)
+             (base.Experiment.result.Synthesis.area /. 1e4));
+        let sweeps =
+          List.map
+            (fun (tuning, parameters) ->
+              ( Tuning_method.short_name tuning,
+                Experiment.sweep setup ~baseline:base ~tuning ~parameters ))
+            methods_with_sweeps
+        in
+        let bests =
+          List.map (fun (name, points) -> (name, Experiment.best_under_area_cap points)) sweeps
+        in
+        let bar f =
+          List.map
+            (fun (name, best) ->
+              match best with
+              | Some (b : Experiment.sweep_point) ->
+                (name, Float.round (f b *. 1000.0) /. 10.0)
+              | None -> (name ^ " (no point <10% area)", 0.0))
+            bests
+        in
+        Report.bar_chart ~unit_label:"% sigma decrease"
+          (bar (fun b -> b.Experiment.reduction));
+        Report.bar_chart ~unit_label:"% area increase"
+          (bar (fun b -> b.Experiment.area_delta));
+        print_endline "  full sweep:";
+        Report.table
+          ~header:[ "method"; "parameter"; "sigma decrease"; "area increase"; "feasible" ]
+          ~rows:
+            (List.concat_map
+               (fun (name, points) -> List.map (fun p -> name :: point_row p) points)
+               sweeps);
+        List.filter_map
+          (fun (method_name, best) ->
+            Option.map (fun best -> { period_label; period; method_name; best }) best)
+          bests)
+      setup.Experiment.periods
+  in
   Printf.printf
     "\n  Paper headline: sigma ceiling reaches -37%% sigma at +7%% area (high performance),\n\
     \  -32%% at +4%% (low); strength-based methods give ~-31%% at ~0%% area.\n";
-  List.rev !winners
+  winners
 
 let table3_winners winners =
   Report.heading "Table 3 — winning constraint parameter per method and period";
@@ -441,9 +448,9 @@ let table3_winners winners =
           w.period_label;
           Printf.sprintf "%.2f" w.period;
           w.method_name;
-          Printf.sprintf "%g" w.parameter;
-          Report.pct w.reduction;
-          Report.pct w.area_delta;
+          Printf.sprintf "%g" w.best.Experiment.parameter;
+          Report.pct w.best.Experiment.reduction;
+          Report.pct w.best.Experiment.area_delta;
         ])
       winners
   in
@@ -454,30 +461,14 @@ let table3_winners winners =
 let fig11_tradeoff (setup : Experiment.setup) =
   Report.heading "Fig 11 — sigma decrease vs area increase, sigma-ceiling sweep (high clock)";
   let period = List.assoc "high" setup.Experiment.periods in
-  let points =
-    Experiment.sweep setup ~baseline:(Experiment.baseline setup ~period)
-      ~tuning:(ceiling_method 0.02) ~parameters:paper_ceilings
-  in
-  let rows =
-    List.map
-      (fun (p : Experiment.sweep_point) ->
-        [
-          Printf.sprintf "%g" p.Experiment.parameter;
-          Report.pct p.Experiment.reduction;
-          Report.pct p.Experiment.area_delta;
-          (if p.Experiment.run.Experiment.result.Synthesis.feasible then "yes" else "NO");
-        ])
-      points
-  in
-  Report.table ~header:[ "ceiling (ns)"; "sigma decrease"; "area increase"; "feasible" ] ~rows;
+  Report.table
+    ~header:[ "ceiling (ns)"; "sigma decrease"; "area increase"; "feasible" ]
+    ~rows:(List.map point_row (ceiling_sweep setup ~period));
   print_endline "  Tighter ceilings buy more sigma reduction at growing area cost (paper Fig 11)."
 
 let fig12_depths (setup : Experiment.setup) =
   Report.heading "Fig 12 — path depths of worst paths per endpoint (high clock)";
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+  let { base; tuned; label; _ } = headline setup "high" in
   let bucket paths =
     let hist = Path.depth_histogram paths in
     (* bucket by 5 to keep the profile readable *)
@@ -492,7 +483,7 @@ let fig12_depths (setup : Experiment.setup) =
   let base = Experiment.paths base and tuned = Experiment.paths tuned in
   Report.sub_heading "baseline";
   Report.int_histogram (bucket base);
-  Report.sub_heading (Printf.sprintf "sigma ceiling %g" ceiling);
+  Report.sub_heading label;
   Report.int_histogram (bucket tuned);
   let mean_depth paths =
     let ds = List.map Path.depth paths in
@@ -508,33 +499,28 @@ let fig12_depths (setup : Experiment.setup) =
 
 let fig13_sigma_depth (setup : Experiment.setup) =
   Report.heading "Fig 13 — path sigma vs path depth (high clock)";
-  let period = List.assoc "high" setup.Experiment.periods in
-  let show label (run : Experiment.run) =
+  let { base; tuned; label; _ } = headline setup "high" in
+  let show label run =
     Report.sub_heading label;
-    let paths = Experiment.paths run in
-    let xs = Array.of_list (List.map (fun p -> float_of_int (Path.depth p)) paths) in
-    let ys = Array.of_list (List.map (fun p -> (Convolve.of_path p).Dist.sigma) paths) in
+    let paths = path_dists run in
+    let xs = Array.of_list (List.map (fun (p, _) -> float_of_int (Path.depth p)) paths) in
+    let ys = Array.of_list (List.map (fun (_, d) -> d.Dist.sigma) paths) in
     Report.binned_scatter ~x_label:"depth" ~y_label:"sigma (ns)" xs ys
   in
-  let ceiling = best_ceiling setup ~period in
-  show "baseline" (Experiment.baseline setup ~period);
-  show
-    (Printf.sprintf "sigma ceiling %g" ceiling)
-    (Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling));
+  show "baseline" base;
+  show label tuned;
   print_endline
     "  No strict depth->sigma relation: cell choice, not count, dictates path sigma (paper)."
 
 let fig14_mean3sigma (setup : Experiment.setup) =
   Report.heading "Fig 14 — mean + 3 sigma per path vs effective clock (high clock)";
-  let period = List.assoc "high" setup.Experiment.periods in
+  let { period; base; tuned; label; _ } = headline setup "high" in
   let effective = period -. guard_band in
-  let show label (run : Experiment.run) =
+  let show label run =
     let stats =
       List.map
-        (fun p ->
-          let d = Convolve.of_path p in
-          (Path.depth p, d.Dist.mean, Dist.quantile_3sigma d))
-        (Experiment.paths run)
+        (fun (p, d) -> (Path.depth p, d.Dist.mean, Dist.quantile_3sigma d))
+        (path_dists run)
     in
     let worst3 = List.fold_left (fun acc (_, _, q) -> Float.max acc q) 0.0 stats in
     let failing = List.length (List.filter (fun (_, _, q) -> q > effective) stats) in
@@ -561,13 +547,8 @@ let fig14_mean3sigma (setup : Experiment.setup) =
       worst3 effective failing;
     worst3
   in
-  let ceiling = best_ceiling setup ~period in
-  let b = show "baseline" (Experiment.baseline setup ~period) in
-  let t =
-    show
-      (Printf.sprintf "sigma ceiling %g" ceiling)
-      (Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling))
-  in
+  let b = show "baseline" base in
+  let t = show label tuned in
   Printf.printf "  worst-case value: %.3f -> %.3f ns (paper: 2.23 -> 2.19)\n" b t
 
 let mc_paths (setup : Experiment.setup) =
@@ -585,10 +566,7 @@ let fig15_corners (setup : Experiment.setup) =
     (fun (label, path) ->
       Report.sub_heading (Printf.sprintf "%s path (%d cells)" label (Path.depth path));
       let sweep = Path_mc.corner_sweep cfg ~seed:(setup.Experiment.seed + 17) path in
-      let typical =
-        List.assoc Corner.typical
-          (List.map (fun (c, r) -> (c, r)) sweep)
-      in
+      let typical = List.assoc Corner.typical sweep in
       let rows =
         List.map
           (fun ((corner : Corner.t), (r : Path_mc.result)) ->
@@ -633,10 +611,7 @@ let fig16_local_share (setup : Experiment.setup) =
 let extension_power (setup : Experiment.setup) =
   Report.heading "Extension — power cost of robustness (high clock)";
   let module Power = Vartune_sta.Power in
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+  let { base; tuned; label; _ } = headline setup "high" in
   let row label (run : Experiment.run) =
     let r =
       Power.estimate run.Experiment.result.Synthesis.timing
@@ -652,7 +627,7 @@ let extension_power (setup : Experiment.setup) =
   in
   Report.table
     ~header:[ "design"; "switching (mW)"; "internal (mW)"; "leakage (mW)"; "total (mW)" ]
-    ~rows:[ row "baseline" base; row (Printf.sprintf "sigma ceiling %g" ceiling) tuned ];
+    ~rows:[ row "baseline" base; row label tuned ];
   print_endline
     "  Robustness costs dynamic and leakage power along with area — the paper's\n\
     \  trade-off extends beyond the area axis it reports."
@@ -669,11 +644,8 @@ let clock_for_yield dists ~target ~period =
 let extension_yield (setup : Experiment.setup) =
   Report.heading "Extension — parametric timing yield vs clock period";
   let module Yield = Vartune_stats.Yield in
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
-  let dists (run : Experiment.run) = List.map Convolve.of_path (Experiment.paths run) in
+  let { period; base; tuned; _ } = headline setup "high" in
+  let dists run = List.map snd (path_dists run) in
   let base_dists = dists base and tuned_dists = dists tuned in
   let effective p = p -. guard_band in
   let rows =
@@ -698,22 +670,18 @@ let extension_yield (setup : Experiment.setup) =
 let extension_hold (setup : Experiment.setup) =
   Report.heading "Extension — hold checks under tuning";
   let module Timing = Vartune_sta.Timing in
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
-  let stats (run : Experiment.run) =
+  let { base; tuned; label; _ } = headline setup "high" in
+  let row label (run : Experiment.run) =
     let t = run.Experiment.result.Synthesis.timing in
-    (List.length (Timing.hold_endpoints t), Timing.worst_hold_slack t)
+    [
+      label;
+      string_of_int (List.length (Timing.hold_endpoints t));
+      Printf.sprintf "%+.4f" (Timing.worst_hold_slack t);
+    ]
   in
-  let bn, bs = stats base and tn, ts = stats tuned in
   Report.table
     ~header:[ "design"; "hold checks"; "worst hold slack (ns)" ]
-    ~rows:
-      [
-        [ "baseline"; string_of_int bn; Printf.sprintf "%+.4f" bs ];
-        [ Printf.sprintf "sigma ceiling %g" ceiling; string_of_int tn; Printf.sprintf "%+.4f" ts ];
-      ];
+    ~rows:[ row "baseline" base; row label tuned ];
   print_endline
     "  Restriction windows forbid slow operating points only, so min-delay paths and\n\
     \  hold margins survive tuning (they typically improve as cells get faster)."
@@ -724,10 +692,7 @@ let futurework_layout (setup : Experiment.setup) =
   let module Placement = Vartune_place.Placement in
   let module Cts = Vartune_place.Cts in
   let module Timing = Vartune_sta.Timing in
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+  let { period; base; tuned; label; _ } = headline setup "high" in
   let analyse label (run : Experiment.run) =
     let nl = run.Experiment.result.Synthesis.netlist in
     let placement = Placement.place nl in
@@ -736,36 +701,30 @@ let futurework_layout (setup : Experiment.setup) =
         Timing.wire_caps = Some (Placement.wire_caps placement nl) }
     in
     let placed_timing = Timing.run cfg nl in
+    let pre = design_sigma_of run in
     let post = (Design_sigma.measure placed_timing nl).Design_sigma.dist.Dist.sigma in
     let cts = Cts.synthesize placement nl ~library:setup.Experiment.statlib in
     let w, h = Placement.die placement in
-    ( label,
-      design_sigma_of run,
-      post,
-      Placement.total_wirelength placement nl,
-      w *. h,
-      cts )
+    ( [
+        label;
+        Printf.sprintf "%.4f" pre;
+        Printf.sprintf "%.4f" post;
+        Printf.sprintf "%.0f" (Placement.total_wirelength placement nl);
+        Printf.sprintf "%.0f" (w *. h);
+        Printf.sprintf "%d" cts.Cts.buffers;
+        Printf.sprintf "%.4f" cts.Cts.skew;
+      ],
+      pre,
+      post )
   in
-  let b = analyse "baseline" base in
-  let t = analyse (Printf.sprintf "sigma ceiling %g" ceiling) tuned in
-  let row (label, pre, post, wl, area, (cts : Cts.result)) =
-    [
-      label;
-      Printf.sprintf "%.4f" pre;
-      Printf.sprintf "%.4f" post;
-      Printf.sprintf "%.0f" wl;
-      Printf.sprintf "%.0f" area;
-      Printf.sprintf "%d" cts.Cts.buffers;
-      Printf.sprintf "%.4f" cts.Cts.skew;
-    ]
-  in
+  let brow, bpre, bpost = analyse "baseline" base in
+  let trow, tpre, tpost = analyse label tuned in
   Report.table
     ~header:
       [ "design"; "sigma pre-layout"; "sigma placed"; "wirelength (um)"; "die (um^2)";
         "CTS buffers"; "clock skew (ns)" ]
-    ~rows:[ row b; row t ];
+    ~rows:[ brow; trow ];
   let reduction pre post = if pre > 0.0 then (pre -. post) /. pre else 0.0 in
-  let _, bpre, bpost, _, _, _ = b and _, tpre, tpost, _, _, _ = t in
   let pre_red = reduction bpre tpre and post_red = reduction bpost tpost in
   Printf.printf
     "  sigma reduction: %s pre-layout -> %s after placement-aware wire loads.\n"
@@ -782,26 +741,16 @@ let futurework_layout (setup : Experiment.setup) =
 
 let ablation_guard_band (setup : Experiment.setup) =
   Report.heading "Ablation — guard band implied by path sigma (Section III motivation)";
-  let period = List.assoc "high" setup.Experiment.periods in
-  let ceiling = best_ceiling setup ~period in
-  let base = Experiment.baseline setup ~period in
-  let tuned = Experiment.tuned setup ~period ~tuning:(ceiling_method ceiling) in
+  let { period; base; tuned; label; _ } = headline setup "high" in
   (* the guard band must cover 3x the sigma of the most variable path *)
-  let implied_guard (run : Experiment.run) =
-    List.fold_left
-      (fun acc p -> Float.max acc (3.0 *. (Convolve.of_path p).Dist.sigma))
-      0.0 (Experiment.paths run)
+  let implied_guard run =
+    List.fold_left (fun acc (_, d) -> Float.max acc (3.0 *. d.Dist.sigma)) 0.0 (path_dists run)
   in
   let gb = implied_guard base and gt = implied_guard tuned in
+  let row label g = [ label; Printf.sprintf "%.4f" g; Printf.sprintf "%.3f" (period +. g) ] in
   Report.table
     ~header:[ "design"; "worst 3-sigma (ns)"; "usable clock at equal yield (ns)" ]
-    ~rows:
-      [
-        [ "baseline"; Printf.sprintf "%.4f" gb; Printf.sprintf "%.3f" (period +. gb) ];
-        [ Printf.sprintf "sigma ceiling %g" ceiling;
-          Printf.sprintf "%.4f" gt;
-          Printf.sprintf "%.3f" (period +. gt) ];
-      ];
+    ~rows:[ row "baseline" gb; row label gt ];
   Printf.printf
     "  Tuning shrinks the local-variation guard band by %s — 'a lower clock\n\
     \  uncertainty means the desired clock period can be decreased' (Section III).\n"
@@ -869,21 +818,8 @@ let ablation_variability_metric (setup : Experiment.setup) =
               let sigma = Slope.max_equivalent_by_index sigmas in
               let mean = Slope.max_equivalent_by_index means in
               let cov = Lut.map2 (fun s m -> if m > 1e-12 then s /. m else 0.0) sigma mean in
-              let mask = Binary_lut.of_ceiling cov ~ceiling in
-              let status =
-                match Rectangle.naive_largest mask with
-                | None -> Restrict.Unusable
-                | Some rect ->
-                  let slews = Lut.slews cov and loads = Lut.loads cov in
-                  Restrict.Window
-                    {
-                      Restrict.slew_min = slews.(rect.Rectangle.row_lo);
-                      slew_max = slews.(rect.Rectangle.row_hi);
-                      load_min = loads.(rect.Rectangle.col_lo);
-                      load_max = loads.(rect.Rectangle.col_hi);
-                    }
-              in
-              Restrict.set table ~cell:cell.Cell.name ~pin:p.Pin.name status)
+              Restrict.set table ~cell:cell.Cell.name ~pin:p.Pin.name
+                (Restrict.lut_window cov ~ceiling))
           (Cell.output_pins cell))
       (Library.cells setup.Experiment.statlib);
     table
@@ -895,19 +831,15 @@ let ablation_variability_metric (setup : Experiment.setup) =
           Constraints.make ~clock_period:period ~restrictions:(variability_table ceiling) ()
         in
         let result = Synthesis.run cons setup.Experiment.statlib setup.Experiment.design in
-        let ds = Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist in
-        let reduction =
-          (design_sigma_of base -. ds.Design_sigma.dist.Dist.sigma) /. design_sigma_of base
-        in
-        let area_delta =
-          (result.Synthesis.area -. base.Experiment.result.Synthesis.area)
-          /. base.Experiment.result.Synthesis.area
+        let tuned =
+          { Experiment.label = "variability"; period; result;
+            design_sigma = Design_sigma.measure result.Synthesis.timing result.Synthesis.netlist }
         in
         [
           Printf.sprintf "%g" ceiling;
-          Report.pct reduction;
-          Report.pct area_delta;
-          (if result.Synthesis.feasible then "yes" else "NO");
+          Report.pct (Experiment.sigma_reduction ~baseline:base ~tuned);
+          Report.pct (Experiment.area_increase ~baseline:base ~tuned);
+          yes_no result.Synthesis.feasible;
         ])
       [ 0.25; 0.2; 0.15 ]
   in
@@ -918,31 +850,37 @@ let ablation_variability_metric (setup : Experiment.setup) =
     "  A variability bound keeps slow-but-proportional regions and cuts fast ones —\n\
     \  weaker sigma reduction per area than the sigma ceiling, as Section III predicts."
 
-let run_all setup =
-  fig1_metric ();
-  fig2_statlib setup;
-  fig3_bilinear ();
-  fig4_inv_surfaces setup;
-  fig5_drive6 setup;
-  fig6_rectangle setup;
-  fig7_all_luts setup;
-  table1_periods setup;
-  table2_parameters ();
-  fig8_period_area setup;
-  let winners = fig10_method_sweep setup in
-  table3_winners winners;
-  fig9_cell_use setup;
-  fig11_tradeoff setup;
-  fig12_depths setup;
-  fig13_sigma_depth setup;
-  fig14_mean3sigma setup;
-  fig15_corners setup;
-  fig16_local_share setup;
-  extension_power setup;
-  extension_yield setup;
-  extension_hold setup;
-  futurework_layout setup;
-  ablation_guard_band setup;
-  ablation_mapping_style setup;
-  ablation_rho setup;
-  ablation_variability_metric setup
+(* Every exhibit in paper order, under the names [vartune figures]
+   accepts.  A generator forces the setup only if it reads it. *)
+let exhibits =
+  let static f _ = f () and with_setup f setup = f (Lazy.force setup) in
+  [
+    ([ "fig1" ], static fig1_metric);
+    ([ "fig2" ], with_setup fig2_statlib);
+    ([ "fig3" ], static fig3_bilinear);
+    ([ "fig4" ], with_setup fig4_inv_surfaces);
+    ([ "fig5" ], with_setup fig5_drive6);
+    ([ "fig6" ], with_setup fig6_rectangle);
+    ([ "fig7" ], with_setup fig7_all_luts);
+    ([ "table1" ], with_setup table1_periods);
+    ([ "table2" ], static table2_parameters);
+    ([ "fig8" ], with_setup fig8_period_area);
+    ([ "fig10"; "table3" ], with_setup (fun setup -> table3_winners (fig10_method_sweep setup)));
+    ([ "fig9" ], with_setup fig9_cell_use);
+    ([ "fig11" ], with_setup fig11_tradeoff);
+    ([ "fig12" ], with_setup fig12_depths);
+    ([ "fig13" ], with_setup fig13_sigma_depth);
+    ([ "fig14" ], with_setup fig14_mean3sigma);
+    ([ "fig15" ], with_setup fig15_corners);
+    ([ "fig16" ], with_setup fig16_local_share);
+    ([ "ext-power" ], with_setup extension_power);
+    ([ "ext-yield" ], with_setup extension_yield);
+    ([ "ext-hold" ], with_setup extension_hold);
+    ([ "futurework-layout" ], with_setup futurework_layout);
+    ([ "ablation-guard-band" ], with_setup ablation_guard_band);
+    ([ "ablation-mapping" ], with_setup ablation_mapping_style);
+    ([ "ablation-rho" ], with_setup ablation_rho);
+    ([ "ablation-variability" ], with_setup ablation_variability_metric);
+  ]
+
+let run_all setup = List.iter (fun (_, generate) -> generate setup) exhibits

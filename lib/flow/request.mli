@@ -94,8 +94,6 @@ type priority =
 val priority_to_string : priority -> string
 (** ["interactive"] / ["batch"] — the wire spelling. *)
 
-val priority_of_string : string -> priority option
-
 val default_priority : t -> priority
 (** The class used when a request carries no explicit [priority]:
     [Report]/[Parse]/[Characterize] are interactive, the

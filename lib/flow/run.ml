@@ -23,6 +23,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let journal_path run_dir = Filename.concat run_dir "journal.vtj"
 let state_dir run_dir = Filename.concat run_dir "state"
 
+(* One synthesis-result summary line, shared by [synth], [experiment]
+   and journaled runs so their outputs stay diffable. *)
 let run_line label (run : Experiment.run) =
   let r = run.Experiment.result in
   Printf.sprintf "%-24s feasible=%b slack=%+.3f area=%.0f um^2 cells=%d sigma=%.4f ns"

@@ -29,10 +29,6 @@
     output — stdout, [report.txt], [statlib.lib] — is bit-identical to
     an uninterrupted run at any [--jobs] and any checkpoint cadence. *)
 
-val run_line : string -> Experiment.run -> string
-(** One synthesis-result summary line, shared by [synth], [experiment]
-    and journaled runs so their outputs stay diffable. *)
-
 type evaled = {
   out : string;
       (** exact stdout bytes of the equivalent plain CLI subcommand *)

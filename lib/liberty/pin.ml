@@ -17,7 +17,4 @@ let output ~name ?max_capacitance ~arcs () =
 let is_output t = t.direction = Output
 let is_input t = t.direction = Input
 
-let find_arc t ~related_pin =
-  List.find_opt (fun (arc : Arc.t) -> arc.related_pin = related_pin) t.arcs
-
 let direction_to_string = function Input -> "input" | Output -> "output"

@@ -19,7 +19,4 @@ val output : name:string -> ?max_capacitance:float -> arcs:Arc.t list -> unit ->
 val is_output : t -> bool
 val is_input : t -> bool
 
-val find_arc : t -> related_pin:string -> Arc.t option
-(** Arc triggered by the named input pin, if any. *)
-
 val direction_to_string : direction -> string

@@ -372,41 +372,6 @@ let metrics_json () =
       ("histograms", section (function Stats s -> Some (histogram_json s) | _ -> None));
     ]
 
-(* Histograms render OpenMetrics-style: cumulative [_bucket{le=...}]
-   lines over the non-empty log buckets plus the mandatory [+Inf]
-   bucket, [_count]/[_sum], and explicit quantile lines — instead of
-   collapsing every distribution to count/sum/min/max. *)
-let metrics_text () =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Count c -> Buffer.add_string buf (Printf.sprintf "%-40s %d\n" name c)
-      | Value v -> Buffer.add_string buf (Printf.sprintf "%-40s %g\n" name v)
-      | Stats s ->
-        let cum = ref 0 in
-        Array.iteri
-          (fun i c ->
-            if c > 0 && Float.is_finite (Buckets.upper i) then begin
-              cum := !cum + c;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name
-                   (Json.float_string (Buckets.upper i))
-                   !cum)
-            end)
-          s.buckets;
-        Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name s.count);
-        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name s.count);
-        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (Json.float_string s.sum));
-        List.iter
-          (fun (label, q) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name label
-                 (Json.float_string (histogram_quantile s q))))
-          [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ])
-    (metrics ());
-  Buffer.contents buf
-
 let write_line path s =
   let oc = open_out path in
   Fun.protect

@@ -178,11 +178,6 @@ val metrics_json : unit -> Json.t
     (the serve metrics endpoint, [vartune report]) sniff
     compatibility. *)
 
-val metrics_text : unit -> string
-(** Human-readable summary: one line per counter/gauge; histograms as
-    OpenMetrics-style cumulative [_bucket{le="..."}] lines plus
-    [_count], [_sum] and [{quantile="..."}] lines. *)
-
 val write_trace : string -> unit
 (** Writes {!trace_json} and a newline to the given path. *)
 

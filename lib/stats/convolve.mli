@@ -22,13 +22,10 @@ val path_dist_rho : rho:float -> (float * float) list -> Dist.t
 val path_dist : (float * float) list -> Dist.t
 (** eq. (10): the [rho = 0] special case. *)
 
-val cell_dists : Vartune_sta.Path.t -> (float * float) list
-(** [(mean, sigma)] per step of an extracted critical path: the mean is
-    the step delay the timer computed; the sigma is interpolated from the
-    arc's sigma tables at the same (slew, load) operating point.  Sigma is
-    [0.] when the library carries no statistics. *)
-
 val of_path : Vartune_sta.Path.t -> Dist.t
-(** [path_dist (cell_dists p)]. *)
+(** [path_dist] of the path's per-step [(mean, sigma)]: the mean is the
+    step delay the timer computed; the sigma is interpolated from the
+    arc's sigma tables at the same (slew, load) operating point.  Sigma
+    is [0.] when the library carries no statistics. *)
 
 val of_path_rho : rho:float -> Vartune_sta.Path.t -> Dist.t

@@ -59,17 +59,6 @@ module Bilinear : sig
       sign bit of a [-0.0] entry).  The caller guarantees
       [Array.length data = Array.length xs * Array.length ys]. *)
 
-  val lookup2 :
-    xs:float array ->
-    ys:float array ->
-    float array ->
-    float array ->
-    x:float ->
-    y:float ->
-    float * float
-  (** Two surfaces sharing axes, one segment search; each component is
-      bit-identical to the corresponding single {!lookup}. *)
-
   val lookup_max2 :
     xs:float array ->
     ys:float array ->
@@ -78,8 +67,9 @@ module Bilinear : sig
     x:float ->
     y:float ->
     float
-  (** [Float.max] of {!lookup2} — the worst-edge shape of arc delay and
-      transition queries. *)
+  (** [Float.max] of two surfaces sharing axes, one segment search; each
+      surface's value is bit-identical to its single {!lookup}.  The
+      worst-edge shape of arc delay and transition queries. *)
 
   val lookup_min2 :
     xs:float array ->
@@ -89,7 +79,7 @@ module Bilinear : sig
     x:float ->
     y:float ->
     float
-  (** [Float.min] of {!lookup2} — the best-edge shape of min-delay
+  (** [Float.min] of the same pair — the best-edge shape of min-delay
       (hold) queries. *)
 
   val lookup4_into :

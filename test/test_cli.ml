@@ -2,9 +2,9 @@
    journaled interrupt/resume cycle: usage errors (64) for malformed
    fault specs and tuning environment variables, data errors (65) for
    unparsable inputs and damaged journals, I/O errors (74) for a full
-   stdout, valid JSON from [report --json], and the checkpoint → exit
-   75 → resume → bit-identical-output contract end to end through the
-   real binary. *)
+   stdout, valid JSON from [report --json], the byte-exact [figures
+   all] golden, and the checkpoint → exit 75 → resume →
+   bit-identical-output contract end to end through the real binary. *)
 
 module Library = Vartune_liberty.Library
 module Printer = Vartune_liberty.Printer
@@ -228,6 +228,44 @@ let test_report_json_escapes () =
   Alcotest.(check (option string))
     "sealed reason round-trips" (Some reason)
     (Option.bind (Json.member "sealed" journal) Json.to_string_opt)
+
+(* ------------------------------------------------------------------ *)
+(* The paper's exhibits                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [figures all] at the defaults (seed 42, N = 50) is pinned byte for
+   byte.  A change that moves a number regenerates the golden and says
+   why.  [dune runtest] copies it next to this test; a direct run from
+   the repo root reads the source copy. *)
+let test_figures_golden () =
+  let golden =
+    let beside = Filename.concat (Filename.dirname Sys.executable_name) "figures_all.golden" in
+    if Sys.file_exists beside then beside else Filename.concat "test" "figures_all.golden"
+  in
+  let out = in_temp "figures_all.txt" in
+  check_exit "figures all exits 0" 0
+    (vartune ~stdout_to:(Filename.quote out) [ "figures"; "all"; "--no-store" ]);
+  let lines path = String.split_on_char '\n' (read_file path) in
+  let rec first_diff n = function
+    | e :: es, a :: rest when e = a -> first_diff (n + 1) (es, rest)
+    | [], [] -> ()
+    | e :: _, a :: _ -> Alcotest.failf "line %d differs:\n  golden: %S\n  actual: %S" n e a
+    | e :: _, [] -> Alcotest.failf "line %d missing from the output: golden %S" n e
+    | [], a :: _ -> Alcotest.failf "line %d not in the golden: %S" n a
+  in
+  first_diff 1 (lines golden, lines out)
+
+(* Table 2 prints constants: it needs no statistical library. *)
+let test_static_exhibit_builds_nothing () =
+  let log = in_temp "table2.log" in
+  check_exit "figures table2 exits 0" 0
+    (vartune ~capture:log [ "figures"; "table2"; "--no-store" ]);
+  let out = read_file log in
+  Alcotest.(check bool) "prints Table 2" true (Helpers.contains out "Table 2");
+  Alcotest.(check bool)
+    (Printf.sprintf "builds no statistical library: %S" out)
+    false
+    (Helpers.contains out "building statistical library")
 
 (* ------------------------------------------------------------------ *)
 (* Interrupt / resume through the real binary                          *)
@@ -476,6 +514,12 @@ let () =
             test_statlib_resume_with_store;
           Alcotest.test_case "experiment run record" `Slow test_experiment_run_record;
           Alcotest.test_case "experiment journal steps" `Slow test_experiment_journal_steps;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "figures all matches the golden" `Slow test_figures_golden;
+          Alcotest.test_case "table2 builds no set-up" `Quick
+            test_static_exhibit_builds_nothing;
         ] );
       ( "serve",
         [

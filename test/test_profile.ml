@@ -1,8 +1,8 @@
 (* Tests for the profiling layer: log-bucket quantile edge cases,
    span-tree aggregation (synthetic event lists and real pool runs at
    1/2/7 jobs, where child-exclusive self times must sum back to the
-   root totals), GC/allocation attribution, the OpenMetrics-style
-   metrics_text rendering, and the report assembly entry points. *)
+   root totals), GC/allocation attribution, and the report assembly
+   entry points. *)
 
 module Obs = Vartune_obs.Obs
 module Json = Vartune_obs.Json
@@ -258,51 +258,6 @@ let test_gc_zero_when_disabled () =
   Alcotest.(check int) "nothing recorded" 0 (List.length (Obs.events ()))
 
 (* ------------------------------------------------------------------ *)
-(* OpenMetrics-style metrics_text                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_text_openmetrics () =
-  with_obs (fun () ->
-      Obs.incr ~by:2 "om.counter";
-      List.iter (Obs.observe "om.histo") [ 1.0; 2.0; 4.0 ];
-      let text = Obs.metrics_text () in
-      let has needle =
-        let nl = String.length needle and tl = String.length text in
-        let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-        go 0
-      in
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) (Printf.sprintf "emits %S" needle) true (has needle))
-        [
-          "om.counter";
-          "om.histo_bucket{le=\"+Inf\"} 3";
-          "om.histo_count 3";
-          "om.histo_sum 7";
-          "om.histo{quantile=\"0.5\"}";
-          "om.histo{quantile=\"0.99\"}";
-        ];
-      (* cumulative bucket counts must be monotone non-decreasing *)
-      let counts =
-        String.split_on_char '\n' text
-        |> List.filter_map (fun line ->
-               match String.index_opt line '}' with
-               | Some i
-                 when String.length line > 20
-                      && String.sub line 0 16 = "om.histo_bucket{" ->
-                 int_of_string_opt
-                   (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-               | _ -> None)
-      in
-      Alcotest.(check bool) "bucket lines present" true (List.length counts >= 2);
-      ignore
-        (List.fold_left
-           (fun prev c ->
-             Alcotest.(check bool) "cumulative buckets monotone" true (c >= prev);
-             c)
-           0 counts))
-
-(* ------------------------------------------------------------------ *)
 (* Report assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,11 +370,6 @@ let () =
         [
           Alcotest.test_case "attribution positive" `Quick test_gc_attribution_positive;
           Alcotest.test_case "nothing recorded when disabled" `Quick test_gc_zero_when_disabled;
-        ] );
-      ( "exporters",
-        [
-          Alcotest.test_case "metrics_text is OpenMetrics-shaped" `Quick
-            test_metrics_text_openmetrics;
         ] );
       ( "report",
         [
