@@ -429,82 +429,68 @@ let loadgen_cmd =
       value & flag
       & info [ "overload" ]
           ~doc:
-            "Overload mode: send the $(b,--requests) burst (every 4th request \
-             interactive, the rest batch statlib builds with per-index seeds so \
-             nothing deduplicates) through the client's retry/backoff loop and report \
-             per-class latency quantiles, sheds, deadline drops and retries. Exits 1 \
-             on any lost reply or code-70 response; sheds are expected, not failures.")
+            "Send the overload burst instead of the template cycle: every 4th request \
+             interactive (a live report), the rest batch statlib builds with per-index \
+             seeds so nothing deduplicates. Sheds are expected, not failures.")
   in
   let retries_arg =
     Arg.(
       value & opt int 3
       & info [ "retries" ] ~docv:"N"
-          ~doc:"Overload mode: retry budget of the client backoff loop per request.")
+          ~doc:"Retry budget of the client backoff loop per request (code-75 sheds).")
   in
   let run ((common : Common_opts.t), base) socket requests concurrency json overload
       retries =
     Common_opts.setup common;
     Common_opts.guard @@ fun () ->
-    if overload then begin
-      let r =
-        Loadgen.run_overload
-          {
-            Loadgen.o_socket = socket;
-            burst = requests;
-            o_concurrency = concurrency;
-            o_seed = base.Request.seed;
-            o_samples = base.Request.samples;
-            retry = { Client.default_policy with attempts = retries };
-          }
-      in
-      if json then print_endline (Loadgen.overload_result_to_json r)
-      else begin
-        let line label (c : Loadgen.class_stats) =
-          Printf.printf
-            "%-12s sent %d  ok %d  shed %d  deadline %d  failed %d  retries %d  p99 \
-             %.2f ms\n"
-            label c.Loadgen.c_sent c.Loadgen.c_ok c.Loadgen.c_shed
-            c.Loadgen.c_deadline_dropped c.Loadgen.c_failed c.Loadgen.c_retries
-            c.Loadgen.c_p99_ms
-        in
-        line "interactive" r.Loadgen.interactive;
-        line "batch" r.Loadgen.batch;
-        Printf.printf "elapsed %.2f s  replies %d  code70 %d\n" r.Loadgen.o_elapsed_s
-          r.Loadgen.replies r.Loadgen.code70
-      end;
-      let lost =
-        r.Loadgen.interactive.Loadgen.c_failed + r.Loadgen.batch.Loadgen.c_failed
-      in
-      if lost > 0 || r.Loadgen.code70 > 0 then exit 1
-    end
+    let seed = base.Request.seed and samples = base.Request.samples in
+    let mix =
+      if overload then Loadgen.burst_mix ~seed ~samples
+      else Loadgen.default_mix ~seed ~samples ~concurrency
+    in
+    let r =
+      Loadgen.run
+        {
+          Loadgen.socket;
+          requests;
+          concurrency;
+          mix;
+          retry = { Client.default_policy with attempts = retries };
+        }
+    in
+    if json then print_endline (Loadgen.result_to_json r)
     else begin
-      let mix =
-        Loadgen.default_mix ~seed:base.Request.seed ~samples:base.Request.samples
+      let line label (s : Loadgen.stats) =
+        Printf.printf
+          "%-12s sent %d  ok %d  shed %d  deadline %d  failed %d  retries %d  p99 %.2f ms\n"
+          label s.sent s.ok s.shed s.deadline_dropped s.failed s.retries s.p99_ms
       in
-      let r = Loadgen.run { Loadgen.socket; requests; concurrency; mix } in
-      if json then print_endline (Loadgen.result_to_json r)
-      else begin
-        Printf.printf "sent %d  ok %d  failed %d  dedup hits %d (%.1f%%)\n"
-          r.Loadgen.sent r.Loadgen.ok r.Loadgen.failed r.Loadgen.dedup_hits
-          (100.0 *. Loadgen.dedup_hit_rate r);
-        Printf.printf "elapsed %.2f s  throughput %.1f req/s\n" r.Loadgen.elapsed_s
-          r.Loadgen.throughput_rps;
-        Printf.printf "latency ms: p50 %.2f  p90 %.2f  p99 %.2f  min %.2f  max %.2f\n"
-          r.Loadgen.p50_ms r.Loadgen.p90_ms r.Loadgen.p99_ms r.Loadgen.min_ms
-          r.Loadgen.max_ms
-      end;
-      if r.Loadgen.failed > 0 then exit 1
-    end
+      let t = r.Loadgen.total in
+      line "interactive" r.Loadgen.interactive;
+      line "batch" r.Loadgen.batch;
+      line "total" t;
+      Printf.printf
+        "elapsed %.2f s  throughput %.1f req/s  replies %d  code70 %d  dedup hits %d \
+         (%.1f%%)\n"
+        r.Loadgen.elapsed_s r.Loadgen.throughput_rps t.replies t.code70 t.dedup_hits
+        (100.0 *. r.Loadgen.dedup_hit_rate);
+      Printf.printf "latency ms: p50 %.2f  p90 %.2f  p99 %.2f  min %.2f  max %.2f\n"
+        t.p50_ms t.p90_ms t.p99_ms t.min_ms t.max_ms
+    end;
+    if r.Loadgen.total.failed > 0 then exit 1
   in
   Cmd.v
     (cmd_info "loadgen"
        ~doc:
-         "Drive a request mix (statlib / characterize / tune / live report, using the \
-          shared $(b,--seed) and $(b,--samples)) at the given concurrency against a \
-          running $(b,vartune serve) daemon and report throughput, latency quantiles \
-          and the dedup hit rate. With $(b,--overload), drive a seeded burst past the \
-          daemon's queue capacity instead and report per-class shed/retry accounting. \
-          Exits 1 if any request failed.")
+         "Drive requests at the given concurrency against a running $(b,vartune serve) \
+          daemon, each through the client's retry/backoff loop, and report per-class \
+          (interactive, batch) and total counts — ok, shed, deadline-dropped, failed, \
+          retries — with throughput, latency quantiles of admitted requests and the \
+          dedup hit rate. The default mix cycles statlib / characterize / tune / live \
+          report templates (using the shared $(b,--seed) and $(b,--samples)); \
+          $(b,--overload) sends a seeded burst meant to exceed the daemon's queue \
+          capacity instead. Exits 1 if any request failed: a lost reply or a code \
+          other than 0 or 75.")
     Term.(
       const run $ Common_opts.request_term $ socket_arg $ requests_arg $ concurrency_arg
       $ json_flag $ overload_arg $ retries_arg)

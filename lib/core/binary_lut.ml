@@ -43,11 +43,3 @@ let of_bool_rows a =
     (fun r -> if Array.length r <> cols then invalid_arg "Binary_lut.of_bool_rows: ragged")
     a;
   { rows; cols; bits = Array.init (rows * cols) (fun k -> a.(k / cols).(k mod cols)) }
-
-let pp ppf t =
-  for i = 0 to t.rows - 1 do
-    for j = 0 to t.cols - 1 do
-      Format.pp_print_char ppf (if get t i j then '1' else '.')
-    done;
-    if i < t.rows - 1 then Format.pp_print_newline ppf ()
-  done

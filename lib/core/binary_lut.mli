@@ -27,6 +27,3 @@ val count_true : t -> int
 
 val of_bool_rows : bool array array -> t
 (** For tests; rows must be non-ragged and non-empty. *)
-
-val pp : Format.formatter -> t -> unit
-(** Rows of [1]/[.] characters, slew axis downward. *)

@@ -194,9 +194,6 @@ let configure spec =
 let clear () = Atomic.set state None
 let active () = Atomic.get state <> None
 
-let spec () =
-  match Atomic.get state with None -> None | Some c -> Some c.spec
-
 (* Returns the 1-based occurrence index when the fault fires. *)
 let fires_seq point ~site =
   match Atomic.get state with

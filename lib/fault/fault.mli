@@ -91,9 +91,6 @@ val clear : unit -> unit
 val active : unit -> bool
 (** [true] iff a schedule is currently configured. *)
 
-val spec : unit -> string option
-(** The spec string of the active schedule, for logging/replay. *)
-
 val fires : point -> site:string -> bool
 (** Consume one occurrence of [point] and report whether it faults.
     Always [false] (and counts nothing) when inactive or when the
@@ -111,6 +108,13 @@ val occurrences : point -> int
 
 val total_injected : unit -> int
 (** Sum of {!injected} over all points. *)
+
+val mix64 : int64 -> int64
+(** The splitmix64 finaliser in its original MurmurHash3 [fmix64] form
+    (shifts 33, constants [0xff51afd7ed558ccd] and [0xc4ceb9fe1a85ec53])
+    that draws the fault decisions; the serve client's backoff jitter
+    hashes with it too.  Not [Vartune_util.Rng]'s finaliser,
+    which is the later variant 13 and gives other bits. *)
 
 val with_spec : string -> (unit -> 'a) -> 'a
 (** [with_spec s f] runs [f] with schedule [s] active, restoring the

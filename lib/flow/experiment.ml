@@ -242,10 +242,12 @@ let sweep ?pool setup ~baseline:base ~tuning ~parameters =
     parameters
 
 let best_under_area_cap ?(cap = 0.10) points =
-  (* the paper's Fig 10 rule is a hard filter: feasible and under the
-     area cap; a method with no qualifying point shows no bar *)
+  (* the paper's Fig 10 rule is a hard filter: feasible, under the area
+     cap and decreasing sigma; a method with no qualifying point shows
+     no bar *)
   points
-  |> List.filter (fun p -> p.run.result.Synthesis.feasible && p.area_delta < cap)
+  |> List.filter (fun p ->
+         p.run.result.Synthesis.feasible && p.area_delta < cap && p.reduction > 0.0)
   |> List.fold_left
        (fun acc p ->
          match acc with

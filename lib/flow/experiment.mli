@@ -123,9 +123,10 @@ val sweep :
 val best_under_area_cap :
   ?cap:float -> sweep_point list -> sweep_point option
 (** The paper's Fig. 10 selection rule: highest sigma reduction among
-    feasible points with area increase below [cap] (default 10 %); the
-    first such point wins a tie.  [None] if no point qualifies, and
-    Fig. 10 then shows no bar for the method. *)
+    feasible points with area increase below [cap] (default 10 %) that
+    decrease sigma at all (reduction > 0); the first such point wins a
+    tie.  [None] if no point qualifies, and Fig. 10 then shows no bar
+    for the method. *)
 
 val paper_period_labels : float -> (string * float) list
 (** Scales the paper's Table 1 ladder (2.41 / 2.5 / 4 / 10 ns) to a

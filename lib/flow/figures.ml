@@ -414,7 +414,7 @@ let fig10_method_sweep (setup : Experiment.setup) =
               match best with
               | Some (b : Experiment.sweep_point) ->
                 (name, Float.round (f b *. 1000.0) /. 10.0)
-              | None -> (name ^ " (no point <10% area)", 0.0))
+              | None -> (name ^ " (no sigma decrease <10% area)", 0.0))
             bests
         in
         Report.bar_chart ~unit_label:"% sigma decrease"
@@ -491,8 +491,9 @@ let fig12_depths (setup : Experiment.setup) =
   in
   let bd = mean_depth base and td = mean_depth tuned in
   Printf.printf
-    "  mean depth: baseline %.2f -> tuned %.2f (%s; the paper saw deepening when\n\
-    \  restriction forces recreating functions from simpler cells)\n"
+    "  mean depth: baseline %.2f -> tuned %.2f\n\
+    \  (%s; the paper saw deepening\n\
+    \  when restriction forces recreating functions from simpler cells)\n"
     bd td
     (if td > bd then "deeper, as in the paper"
      else "shallower here: the winning ceiling resizes more than it decomposes")

@@ -30,13 +30,6 @@ val to_float : t -> float option
 val to_string_opt : t -> string option
 val to_list : t -> t list option
 
-val float_string : float -> string
-(** Shortest decimal rendering of a finite float that parses back to
-    the identical bit pattern (tries ["%.15g"] then ["%.17g"]).
-    Integers within 2^53 render without a fractional part.  JSON has
-    no token for a non-finite value, so [nan] and the infinities render
-    as ["null"]. *)
-
 val int : int -> t
 (** [Number] of an integer; exact within 2{^ 53}. *)
 

@@ -132,8 +132,6 @@ module Counter = struct
         Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) registry)
 end
 
-let incr ?(by = 1) name = Counter.add (Counter.make name) by
-
 let counter_value name =
   Mutex.protect Counter.registry_lock (fun () ->
       match Hashtbl.find_opt Counter.registry name with

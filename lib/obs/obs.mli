@@ -73,10 +73,6 @@ module Counter : sig
   val value : t -> int
 end
 
-val incr : ?by:int -> string -> unit
-(** Name-based counter update for cold call sites ([Counter.make] +
-    [Counter.add] under the hood, memoised per name). *)
-
 val counter_value : string -> int
 (** Current value of a counter, 0 if it was never registered. *)
 

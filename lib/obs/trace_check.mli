@@ -22,9 +22,7 @@ type stats = {
   names : string list;  (** distinct span names, sorted *)
 }
 
-val validate : Json.t -> (stats, string) result
-
 val validate_string : string -> (stats, string) result
-(** Parse then {!validate}. *)
+(** Parse the trace JSON, then check it. *)
 
 val validate_file : string -> (stats, string) result

@@ -21,9 +21,6 @@ val position : t -> Vartune_netlist.Netlist.inst_id -> float * float
 val die : t -> float * float
 (** Die width and height, µm. *)
 
-val row_height : float
-(** The row pitch, µm. *)
-
 val hpwl : t -> Vartune_netlist.Netlist.t -> Vartune_netlist.Netlist.net_id -> float
 (** Half-perimeter wirelength of a net over its driver and sink cells,
     µm; [0.] for nets touching fewer than two placed cells. *)

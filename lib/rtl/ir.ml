@@ -99,8 +99,6 @@ let rec not_ t a =
     | Ff _ ->
       hashconsed t Not [| a |]
 
-and buf t a = hashconsed t Buf [| a |]
-
 and and2 t a b =
   if a = b then a
   else if is_const0 t a || is_const0 t b then const0 t

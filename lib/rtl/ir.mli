@@ -34,7 +34,6 @@ val input : t -> string -> node_id
 val const0 : t -> node_id
 val const1 : t -> node_id
 val not_ : t -> node_id -> node_id
-val buf : t -> node_id -> node_id
 val and2 : t -> node_id -> node_id -> node_id
 val or2 : t -> node_id -> node_id -> node_id
 val xor2 : t -> node_id -> node_id -> node_id

@@ -35,8 +35,6 @@ let add g ?carry_in a b =
   done;
   (sum, !carry)
 
-let increment g a = fst (add g ~carry_in:(Ir.const1 g) a (const g ~width:(Array.length a) 0))
-
 let mux g ~sel a b = map2 (fun x y -> Ir.mux2 g ~a:x ~b:y ~s:sel) a b
 
 let add_fast g ?carry_in ?(group = 4) a b =

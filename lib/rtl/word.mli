@@ -32,8 +32,6 @@ val one_hot_mux : Ir.t -> onehot:Ir.node_id array -> word list -> word
 val sub : Ir.t -> word -> word -> word * Ir.node_id
 (** [a - b]; the second component is the *borrow-free* flag (carry out). *)
 
-val increment : Ir.t -> word -> word
-
 val mux : Ir.t -> sel:Ir.node_id -> word -> word -> word
 (** Bitwise 2:1 mux: [sel ? second : first]. *)
 
@@ -51,7 +49,6 @@ val less_than : Ir.t -> word -> word -> Ir.node_id
 (** Unsigned [a < b]. *)
 
 val reduce_or : Ir.t -> word -> Ir.node_id
-val reduce_and : Ir.t -> word -> Ir.node_id
 
 val multiply : Ir.t -> word -> word -> word
 (** Unsigned array multiplier; result width is the sum of the operand

@@ -41,16 +41,9 @@ type retry_policy = { attempts : int; base_backoff_s : float; seed : int }
 
 let default_policy = { attempts = 3; base_backoff_s = 0.0005; seed = 0 }
 
-(* splitmix64 finaliser, self-contained like the fault engine's. *)
-let mix64 (z : int64) : int64 =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  logxor z (shift_right_logical z 33)
-
 let jitter ~seed ~attempt =
   let h =
-    mix64
+    Vartune_fault.Fault.mix64
       (Int64.add
          (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int (attempt + 1)))
          (Int64.of_int seed))

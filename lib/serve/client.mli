@@ -47,8 +47,7 @@ val default_policy : retry_policy
 
 val backoff_s : retry_policy -> attempt:int -> hint:float option -> float
 (** The wait before retry [attempt] (0-based): the jittered ladder
-    value, floored at the daemon's [hint].  Exposed for tests and the
-    load generator's accounting. *)
+    value, floored at the daemon's [hint].  Exposed for tests. *)
 
 val request_retrying :
   ?id:int ->

@@ -76,6 +76,11 @@ let send_timeout_s = 10.0
    that a misbehaving peer cannot balloon the per-connection buffer. *)
 let max_line_bytes = 1 lsl 20
 
+(* [serve.sheds] is registered by name, so connection-limit refusals
+   share Admission's counter with its queue sheds *)
+let sheds_counter = Obs.Counter.make "serve.sheds"
+let slow_drops_counter = Obs.Counter.make "serve.slow_client_drops"
+
 (* ------------------------------------------------------------------ *)
 (* Socket lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -292,7 +297,7 @@ let serve_conn h fd =
     | Slow_client | Unix.Unix_error _ | Sys_error _ -> ())
   | Slow_client ->
     Atomic.incr h.n_slow_drops;
-    Obs.incr "serve.slow_client_drops";
+    Obs.Counter.incr slow_drops_counter;
     Log.warn (fun m -> m "dropping slow client (reply unread for %.0fs)" send_timeout_s)
   | Unix.Unix_error _ | Sys_error _ | End_of_file ->
     (* a dropped connection only costs that connection *)
@@ -310,7 +315,7 @@ let refuse_conn h fd =
      | None -> ()
      | Some _ ->
        Atomic.incr h.n_conn_sheds;
-       Obs.incr "serve.sheds";
+       Obs.Counter.incr sheds_counter;
        let reply =
          Response.to_line
            (Response.fail

@@ -91,32 +91,4 @@ let inversions = function
   | Delay_buf -> 4
   | Tie_low | Tie_high -> 1
 
-let to_string = function
-  | Inv -> "inv"
-  | Buf -> "buf"
-  | Nand n -> Printf.sprintf "nand%d" n
-  | Nor n -> Printf.sprintf "nor%d" n
-  | And n -> Printf.sprintf "and%d" n
-  | Or n -> Printf.sprintf "or%d" n
-  | Nand_b n -> Printf.sprintf "nand%db" n
-  | Nor_b n -> Printf.sprintf "nor%db" n
-  | Xor n -> Printf.sprintf "xor%d" n
-  | Xnor n -> Printf.sprintf "xnor%d" n
-  | Mux2 -> "mux2"
-  | Mux2_inv -> "mux2i"
-  | Mux4 -> "mux4"
-  | Full_adder -> "fulladder"
-  | Half_adder -> "halfadder"
-  | Maj3 -> "maj3"
-  | Dff f ->
-    Printf.sprintf "dff%s%s%s%s"
-      (if f.reset then "r" else "")
-      (if f.set then "s" else "")
-      (if f.enable then "e" else "")
-      (if f.scan then "_scan" else "")
-  | Dlat { reset } -> if reset then "dlatr" else "dlat"
-  | Tie_low -> "tielo"
-  | Tie_high -> "tiehi"
-  | Delay_buf -> "dly"
-
 let equal a b = a = b

@@ -47,7 +47,4 @@ val inversions : t -> int
 (** Number of logic inversion stages between input and output — drives the
     intrinsic-delay estimate in the characteriser. *)
 
-val to_string : t -> string
-(** Stable descriptive tag, e.g. ["nand3"]. *)
-
 val equal : t -> t -> bool

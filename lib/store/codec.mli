@@ -72,8 +72,6 @@ val r_float : reader -> float
 val w_string : Buffer.t -> string -> unit
 val r_string : reader -> string
 
-val r_float_array : reader -> float array
-
 (** {1 Artifact codecs} *)
 
 val w_library : Buffer.t -> Vartune_liberty.Library.t -> unit

@@ -1,11 +1,6 @@
 (** Drive-strength selection within a cell family, honouring electrical
     limits and tuning windows. *)
 
-val family_ladder :
-  Vartune_liberty.Library.t -> family:string -> Vartune_liberty.Cell.t list
-(** Drive-sorted members of a family.  Raises [Failure] if the family is
-    absent from the library. *)
-
 val pick :
   Constraints.t ->
   Vartune_liberty.Library.t ->
@@ -18,11 +13,6 @@ val pick :
     least-violating choice) when nothing fits, and to the largest drive
     outright when tuning marked the whole family unusable — synthesis
     must keep the netlist functional. *)
-
-val fits :
-  Constraints.t -> Vartune_liberty.Cell.t -> load:float -> slew:float -> bool
-(** Whether a specific cell satisfies drive limit and window at the
-    operating point. *)
 
 val upsize :
   Constraints.t ->

@@ -118,6 +118,8 @@ let refresh st timing =
   st.synced <- Netlist.edit_count st.nl;
   timing
 
+(* worst slew over the instance's data inputs (clock pin excluded); the
+   analysis input slew for source-only cells *)
 let worst_input_slew timing nl (inst : Netlist.instance) =
   ignore nl;
   let clock_pin = inst.cell.Cell.clock_pin in

@@ -25,15 +25,6 @@ type report = {
   window_violations : int;  (** remaining hard window violations *)
 }
 
-val worst_input_slew :
-  Vartune_sta.Timing.t -> Vartune_netlist.Netlist.t -> Vartune_netlist.Netlist.instance ->
-  float
-(** Worst slew over the instance's data inputs (clock pin excluded);
-    falls back to the analysis input slew for source-only cells. *)
-
-val count_window_violations :
-  Constraints.t -> Vartune_sta.Timing.t -> Vartune_netlist.Netlist.t -> int
-
 val optimize :
   ?incremental:bool ->
   Constraints.t -> Vartune_liberty.Library.t -> Vartune_netlist.Netlist.t ->

@@ -49,9 +49,6 @@ let to_arrays g = Array.init g.rows (fun i -> Array.init g.cols (fun j -> get g 
 
 let map f g = { g with data = Array.map f g.data }
 
-let mapi f g =
-  { g with data = Array.mapi (fun k v -> f (k / g.cols) (k mod g.cols) v) g.data }
-
 let map2 f a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Grid.map2: dimension mismatch";
   { a with data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k)) }

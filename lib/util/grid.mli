@@ -54,7 +54,6 @@ val unsafe_data : t -> float array
     without per-entry accessor calls. *)
 
 val map : (float -> float) -> t -> t
-val mapi : (int -> int -> float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 (** Pointwise combination; dimensions must agree. *)
 

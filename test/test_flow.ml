@@ -155,6 +155,27 @@ let test_sweep_pool_invariant () =
       Helpers.check_float ~eps:0.0 "area delta" s.Experiment.area_delta p.Experiment.area_delta)
     serial parallel
 
+(* Fig 10's selection rule on hand-made points around one feasible
+   run: a point that does not decrease sigma never wins, the area cap
+   is strict, and the first of equal reductions wins. *)
+let test_best_under_area_cap () =
+  let setup = Lazy.force tiny_setup in
+  let run = Experiment.baseline setup ~period:(setup.Experiment.min_period *. 1.5) in
+  Alcotest.(check bool) "baseline feasible" true
+    run.Experiment.result.Vartune_synth.Synthesis.feasible;
+  let point parameter reduction area_delta =
+    { Experiment.parameter; run; reduction; area_delta }
+  in
+  let best points =
+    Option.map (fun p -> p.Experiment.parameter) (Experiment.best_under_area_cap points)
+  in
+  let check name expected points = Alcotest.(check (option (float 0.0))) name expected (best points) in
+  check "negative and zero reductions never win" None
+    [ point 1.0 (-0.033) 0.0; point 2.0 0.0 0.0 ];
+  check "tie: first wins" (Some 2.0)
+    [ point 1.0 (-0.1) 0.0; point 2.0 0.05 0.01; point 3.0 0.05 0.0 ];
+  check "area cap is strict" (Some 2.0) [ point 1.0 0.3 0.10; point 2.0 0.01 0.099 ]
+
 (* Exact pool dispatch per chunked stage at jobs=2.  The task counts
    follow from the item counts and the automatic chunk size alone, so
    they are the same on any host; a stage that went back to one task
@@ -281,6 +302,7 @@ let () =
           Alcotest.test_case "sweep pool invariant" `Slow test_sweep_pool_invariant;
           Alcotest.test_case "dispatch counts at jobs=2" `Slow test_dispatch_counts;
           Alcotest.test_case "ext-yield clock meets 99 %" `Slow test_yield_clock_meets_target;
+          Alcotest.test_case "winner must decrease sigma" `Slow test_best_under_area_cap;
         ] );
       ("failures", [ Alcotest.test_case "exit codes" `Quick test_exit_codes ]);
     ]

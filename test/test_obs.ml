@@ -55,10 +55,11 @@ let test_disabled_is_transparent () =
   Obs.set_enabled false;
   let r = Obs.span "ghost" (fun () -> 41 + 1) in
   Alcotest.(check int) "span returns f ()" 42 r;
-  Obs.incr "ghost.counter";
+  let ghost = Obs.Counter.make "ghost.counter" in
+  Obs.Counter.incr ghost;
   Obs.observe "ghost.histo" 1.0;
   Alcotest.(check int) "no events recorded" 0 (List.length (Obs.events ()));
-  Alcotest.(check int) "counter untouched" 0 (Obs.counter_value "ghost.counter");
+  Alcotest.(check int) "counter untouched" 0 (Obs.Counter.value ghost);
   (* registered counter handles stay visible at 0, but nothing may have
      accumulated and no gauge/histogram may exist *)
   List.iter
@@ -236,7 +237,7 @@ let test_pool_counters_exact () =
 
 let test_metrics_json_well_formed () =
   with_obs (fun () ->
-      Obs.incr ~by:3 "unit.counter";
+      Obs.Counter.add (Obs.Counter.make "unit.counter") 3;
       Obs.gauge "unit.gauge" 2.5;
       Obs.observe "unit.histo" 1.0;
       Obs.observe "unit.histo" 3.0;

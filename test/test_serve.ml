@@ -13,6 +13,7 @@ module Response = Vartune_flow.Response
 module Run_request = Vartune_flow.Run_request
 module Serve = Vartune_serve.Serve
 module Client = Vartune_serve.Client
+module Loadgen = Vartune_serve.Loadgen
 module Single_flight = Vartune_serve.Single_flight
 module Admission = Vartune_serve.Admission
 module Store = Vartune_store.Store
@@ -801,6 +802,78 @@ let test_binary_sigterm_exit_75 () =
   | _, Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped unexpectedly");
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists socket)
 
+(* ------------------------------------------------------------------ *)
+(* Client backoff and the load generator                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The jittered ladder is seeded, never clocked: these waits are pinned
+   to the bit. *)
+let test_backoff_pinned () =
+  let q = { Client.attempts = 5; base_backoff_s = 0.01; seed = 7 } in
+  List.iter
+    (fun (policy, attempt, hint, expected) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "attempt %d" attempt)
+        (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Client.backoff_s policy ~attempt ~hint)))
+    [
+      (Client.default_policy, 0, None, 0x1.f6b31d9c96719p-11);
+      (Client.default_policy, 1, None, 0x1.e32ad8ed6849ap-10);
+      (Client.default_policy, 2, None, 0x1.8cd065e6ed11fp-9);
+      (Client.default_policy, 2, Some 0.25, 0.25);
+      (q, 0, None, 0x1.b4e81b4e81b4ep-7);
+      (q, 3, None, 0x1.1ca1c078cab64p-3);
+      (q, 4, Some 0x1.0624dd2f1a9fcp-10, 0x1.2f43be9fe795bp-2);
+    ]
+
+let loadgen ?(retry = Client.default_policy) socket ~requests ~concurrency mix =
+  Loadgen.run { Loadgen.socket; requests; concurrency; mix; retry }
+
+let test_loadgen_default_mix () =
+  with_serve "lg.sock" (fun socket _h ->
+      let r =
+        loadgen socket ~requests:8 ~concurrency:2
+          (Loadgen.default_mix ~seed:42 ~samples:2 ~concurrency:2)
+      in
+      let t = r.Loadgen.total in
+      Alcotest.(check int) "requests" 8 t.Loadgen.sent;
+      Alcotest.(check int) "replies" 8 t.Loadgen.replies;
+      Alcotest.(check int) "ok" 8 t.Loadgen.ok;
+      Alcotest.(check int) "failed" 0 t.Loadgen.failed;
+      Alcotest.(check int) "classes add up" 8
+        (r.Loadgen.interactive.Loadgen.sent + r.Loadgen.batch.Loadgen.sent))
+
+(* A burst past a one-slot queue sheds; every request is still counted
+   exactly once, and shedding is never an internal error. *)
+let test_loadgen_burst_accounting () =
+  with_serve ~workers:1 ~queue_cap:1 "lgburst.sock" (fun socket _h ->
+      let requests = 8 in
+      let r =
+        loadgen socket ~requests ~concurrency:requests
+          (Loadgen.burst_mix ~seed:42 ~samples:2)
+      in
+      let t = r.Loadgen.total in
+      Alcotest.(check int) "no code 70" 0 t.Loadgen.code70;
+      Alcotest.(check int) "every request answered" requests t.Loadgen.replies;
+      Alcotest.(check int) "each request counted once" requests
+        (t.Loadgen.ok + t.Loadgen.shed + t.Loadgen.deadline_dropped + t.Loadgen.failed);
+      Alcotest.(check int) "two interactive" 2 r.Loadgen.interactive.Loadgen.sent)
+
+let test_loadgen_no_daemon () =
+  let socket = in_temp "absent.sock" in
+  if Sys.file_exists socket then Sys.remove socket;
+  List.iter
+    (fun (name, mix) ->
+      let r = loadgen socket ~requests:8 ~concurrency:2 mix in
+      let t = r.Loadgen.total in
+      Alcotest.(check int) (name ^ ": requests") 8 t.Loadgen.sent;
+      Alcotest.(check int) (name ^ ": failed") 8 t.Loadgen.failed;
+      Alcotest.(check int) (name ^ ": replies") 0 t.Loadgen.replies)
+    [
+      ("default", Loadgen.default_mix ~seed:42 ~samples:2 ~concurrency:2);
+      ("burst", Loadgen.burst_mix ~seed:42 ~samples:2);
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -859,5 +932,14 @@ let () =
             test_drain_under_load;
           Alcotest.test_case "binary SIGTERM exits 75" `Slow test_binary_sigterm_exit_75;
           Alcotest.test_case "idle stop is prompt" `Quick test_stop_is_prompt;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "backoff ladder pinned" `Quick test_backoff_pinned;
+          Alcotest.test_case "default mix all ok" `Slow test_loadgen_default_mix;
+          Alcotest.test_case "burst counts each request once" `Slow
+            test_loadgen_burst_accounting;
+          Alcotest.test_case "no daemon: every request failed" `Quick
+            test_loadgen_no_daemon;
         ] );
     ]
